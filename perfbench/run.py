@@ -16,6 +16,11 @@ it holds every metric the run measured with its sample count, the
 environment and, for a traced run, each span's calls and inclusive and self
 time; the spans themselves go to ``.bench_build/perfbench/traces``.
 
+The end-to-end times are measured over whole units of work and scaled to the
+speed of a reference host, which a fixed probe measures between operations
+(see ``worker.HostProbe``): the shared host's own speed drifts by 10-20 % over
+tens of seconds.  The detail line also holds the unscaled (``raw.``) figures.
+
 Workloads (all closed loops with one client):
 
 * ``paper-72``: the paper model in float32 on the default synthetic scene,

@@ -11,6 +11,12 @@ The run step drives the stream through the public calls that
 training loop through ``augment_window`` and ``train_step``, and times each
 call from outside.  Every loop is closed with one client: the next slice or
 step starts when the previous one has finished.
+
+The host is shared, and its speed drifts by 10-20 % over tens of seconds.  So
+the run measures whole units of work (a pass of the stream, a rotation, a
+cycle over the training windows), runs a fixed reference probe between
+operations, and scales each unit's times to the speed the probe sees on the
+reference host.  The raw times are reported beside the scaled ones.
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ from helix.training import (
 
 from tracer import NullTracer, Tracer, instrument
 
-SETUP_REPEATS = 7
+SETUP_REPEATS = 11
+PROBE_EVERY_S = 0.25         # longest stretch of operations between two host probes
 TRAIN_WINDOW_SLICES = 3      # the acceptance criterion-8 window: three rotations
 TRAIN_LR = 2e-3
 
@@ -68,6 +75,7 @@ class Workload:
     rotations: int           # rotations in the generated stream
     warmup_ops: int          # untimed ops first, so the heap has grown and caches are warm
     tiny_rotations: int      # the same, for the self-test
+    unit_slices: int = 0     # slices in one unit of a stream workload; 0: the whole pass
 
     @property
     def dtheta(self):
@@ -85,11 +93,12 @@ WORKLOADS = {
     "paper-72": Workload("stream", SynthConfig, 0,
                          lambda s: ModelConfig(seed=s, dtype="float32"),
                          72.0, 3, 15, 1),
-    # warm-up fills the two-rotation buffer once
+    # warm-up fills the two-rotation buffer once; a unit is one rotation
     "toy-36": Workload("stream", toy_scene_config, 5,
                        lambda s: toy_model_config(seed=s, dtype="float32"),
-                       36.0, 24, 20, 2),
-    # the acceptance criterion-8 scene: its first six rotations give four windows
+                       36.0, 24, 20, 2, unit_slices=10),
+    # the acceptance criterion-8 scene: its first six rotations give four
+    # windows; a unit is one step on each of them
     "train-toy": Workload("train", toy_scene_config, 5, lambda s: toy_model_config(seed=s),
                           360.0, 6, 2, 4),
 }
@@ -104,6 +113,7 @@ class Op:
     loop_s: float = 0.0       # the whole loop iteration: assembly or augmentation included
     sensor_s: float = 0.0     # acquisition time of the slices processed
     digest: str = ""          # predicted labels (stream) or loss (training)
+    unit_end: bool = False    # the last op of a unit of work
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +155,23 @@ def fresh_trainer(w: Workload, seed):
 
 
 def stream_ops(w: Workload, model, packets, tracer):
-    """Segment the stream slice by slice, restarting it from a fresh buffer at its end."""
+    """Segment the stream slice by slice, restarting it from a fresh buffer at its end.
+
+    A unit ends every ``w.unit_slices`` slices and at the end of the stream.
+    The next slice is assembled before an op is handed out, so that the op
+    knows whether it ends its unit; assembly counts towards the slice it makes.
+    """
     op = 0
     while True:
         buffer = model.new_buffer()
         conf = ConfusionMatrix(model.cfg.n_classes)
         slices = iter_slices_from_packets(SequentialPacketStream(packets), w.dtheta)
-        while True:
+        tracer.op = op
+        slc, assemble_s = next_slice(slices, tracer)
+        k = 0
+        while slc is not None:
             tracer.op = op
             try:
-                t0 = time.perf_counter()
-                with tracer.span("harness.assemble"):
-                    slc = next(slices, None)
-                if slc is None:
-                    break
                 t1 = time.perf_counter()
                 with tracer.span("model.segment"):
                     preds, scores = model.segment_points(slc, buffer)
@@ -166,17 +179,32 @@ def stream_ops(w: Workload, model, packets, tracer):
                 with tracer.span("metrics.update"):
                     conf.update(slc.points.label, preds)
                 t3 = time.perf_counter()
+                tracer.op = op + 1
+                nxt, next_assemble_s = next_slice(slices, tracer)
             except Exception as exc:  # a failed slice counts and restarts the stream
                 print(f"perfbench: slice {op} failed: {exc!r}", file=sys.stderr)
-                yield Op(ok=False)
+                yield Op(ok=False, unit_end=True)
                 op += 1
                 break
+            k += 1
             yield Op(ok=slice_ok(slc, preds, scores, model.cfg.n_classes),
-                     step_s=t2 - t1, loop_s=t3 - t0, sensor_s=w.window_s,
-                     digest=hashlib.blake2b(preds.tobytes(), digest_size=16).hexdigest())
+                     step_s=t2 - t1, loop_s=assemble_s + t3 - t1, sensor_s=w.window_s,
+                     digest=hashlib.blake2b(preds.tobytes(), digest_size=16).hexdigest(),
+                     unit_end=nxt is None or k == w.unit_slices)
+            if k == w.unit_slices:
+                k = 0
+            slc, assemble_s = nxt, next_assemble_s
             op += 1
         del buffer, conf, slices
         gc.collect()
+
+
+def next_slice(slices, tracer):
+    """The next assembled slice, or None at the end of the stream, and the time taken."""
+    t0 = time.perf_counter()
+    with tracer.span("harness.assemble"):
+        slc = next(slices, None)
+    return slc, time.perf_counter() - t0
 
 
 def slice_ok(slc, preds, scores, n_classes):
@@ -190,12 +218,13 @@ def slice_ok(slc, preds, scores, n_classes):
 
 
 def train_ops(w: Workload, windows, model, opt, seed, tracer):
-    """Criterion-8 steps: a random window, one augmentation draw, one train_step."""
+    """Criterion-8 steps: the next window in turn, one augmentation draw, one
+    train_step.  A unit is one step on each window."""
     rng = np.random.default_rng(seed)
     op = 0
     while True:
         tracer.op = op
-        window = windows[int(rng.integers(len(windows)))]
+        window = windows[op % len(windows)]
         try:
             t0 = time.perf_counter()
             with tracer.span("ingest.augment"):
@@ -206,10 +235,11 @@ def train_ops(w: Workload, windows, model, opt, seed, tracer):
             t2 = time.perf_counter()
         except Exception as exc:  # train_step raises on a non-finite loss
             print(f"perfbench: step {op} failed: {exc!r}", file=sys.stderr)
-            yield Op(ok=False)
+            yield Op(ok=False, unit_end=(op + 1) % len(windows) == 0)
         else:
             yield Op(ok=bool(np.isfinite(loss)), step_s=t2 - t1, loop_s=t2 - t0,
-                     sensor_s=len(batch) * w.window_s, digest=float(loss).hex())
+                     sensor_s=len(batch) * w.window_s, digest=float(loss).hex(),
+                     unit_end=(op + 1) % len(windows) == 0)
         op += 1
 
 
@@ -245,32 +275,157 @@ def warm_up(w: Workload, state, seed, tiny):
 
 
 # ---------------------------------------------------------------------------
+# host speed
+# ---------------------------------------------------------------------------
+
+
+class HostProbe:
+    """A fixed piece of work, independent of helix, that tracks the host's speed.
+
+    Its three parts mirror what helix spends its time on: interpreter work,
+    many numpy calls on small arrays, and gathers and products on larger ones.
+    They write into buffers allocated once and fit in a core's L2 cache, and
+    each runs once untimed before it is timed, so the probe's time does not
+    depend on what the benchmarked program left in the heap or the caches.
+    ``REF_S`` holds each part's median time on the reference host, a 2-vCPU
+    Intel Xeon VM at 2.1 GHz with numpy 2.4 and OpenBLAS on one thread.
+    """
+
+    REF_S = {"python": 0.0028, "small": 0.0015, "gather": 0.0033}
+
+    def __init__(self):
+        rng = np.random.default_rng(0)
+        self.w_small = (0.1 * rng.standard_normal((32, 32))).astype(np.float32)
+        self.x_small = rng.standard_normal((64, 32)).astype(np.float32)
+        self.y_small = np.empty_like(self.x_small)
+        self.w_big = (0.2 * rng.standard_normal((16, 16))).astype(np.float32)
+        self.x_big = rng.standard_normal((2048, 16)).astype(np.float32)
+        self.y_big = np.empty_like(self.x_big)
+        self.z_big = np.empty_like(self.x_big)
+        self.index = rng.integers(0, len(self.x_big), len(self.x_big))
+        self.parts = {"python": self._python, "small": self._small, "gather": self._gather}
+
+    @staticmethod
+    def _python():
+        acc, table = 0, {}
+        for i in range(20000):
+            table[i & 255] = acc
+            acc += i * 3 % 7
+
+    def _small(self):
+        for _ in range(300):
+            np.matmul(self.x_small, self.w_small, out=self.y_small)
+            np.tanh(self.y_small, out=self.y_small)
+
+    def _gather(self):
+        for _ in range(60):
+            np.take(self.x_big, self.index, axis=0, out=self.y_big, mode="clip")
+            np.matmul(self.y_big, self.w_big, out=self.z_big)
+            np.tanh(self.z_big, out=self.z_big)
+
+    def sample(self):
+        """Seconds each part takes now, warm."""
+        out = {}
+        for name, part in self.parts.items():
+            part()
+            t0 = time.perf_counter()
+            part()
+            out[name] = time.perf_counter() - t0
+        return out
+
+    def speed(self, samples):
+        """How much faster the host ran, during ``samples``, than the reference
+        host: the geometric mean, over the parts, of the reference time over the
+        mean time measured.  A time measured then, multiplied by this, is the
+        time on the reference host."""
+        logs = [np.log(np.mean([s[name] for s in samples]) / ref)
+                for name, ref in self.REF_S.items()]
+        return float(np.exp(-np.mean(logs)))
+
+
+# ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class Unit:
+    """Whole units of work and the host probes taken while they ran."""
+
+    ops: list
+    probes: list
+
+
+def measure(ops, seconds, probe):
+    """Units of ops until ``seconds`` have passed and the current unit is done,
+    with a host probe at the start, at the end of every unit and at least
+    every ``PROBE_EVERY_S`` of operations."""
+    deadline = time.perf_counter() + seconds
+    units, current = [], Unit([], [probe.sample()])
+    last = time.perf_counter()
+    for op in ops:
+        current.ops.append(op)
+        if op.unit_end or time.perf_counter() - last >= PROBE_EVERY_S:
+            current.probes.append(probe.sample())
+            last = time.perf_counter()
+        if op.unit_end:
+            units.append(current)
+            if last >= deadline:
+                break
+            current = Unit([], [])
+    ops.close()
+    return units
+
+
 def timed_run(w: Workload, seed, seconds, inputs: Path, tiny):
+    """Set-up repeated, a warm-up, then ``seconds`` of whole units.  Each set-up
+    and each unit's mean step time and sensor rate are scaled to the reference
+    host by the probes around them; the metrics are medians of those."""
     null = NullTracer()
-    setup_s = []
+    probe = HostProbe()
+    for _ in range(3):
+        probe.sample()
+    setup_s, setup_raw_s = [], []
     for _ in range(SETUP_REPEATS):
+        before = probe.sample()
         t0 = time.perf_counter()
         state = setup(w, seed, inputs, null)
-        setup_s.append(time.perf_counter() - t0)
+        took = time.perf_counter() - t0
+        setup_raw_s.append(took)
+        setup_s.append(took * probe.speed([before, probe.sample()]))
     warm_up(w, state, seed, tiny)
-    ops = take(ops_for(w, state, seed, null), seconds=seconds)
+    units = measure(ops_for(w, state, seed, null), seconds, probe)
+
+    ops = [op for u in units for op in u.ops]
     good = [op for op in ops if op.ok]
     if not good:
         raise RuntimeError("no operation succeeded")
+    step_ms, rate_x, raw_step_ms, raw_rate_x = [], [], [], []
+    for u in units:
+        done = [op for op in u.ops if op.ok]
+        if not done:
+            continue
+        speed = probe.speed(u.probes)
+        raw_step_ms.append(1e3 * statistics.fmean(op.step_s for op in done))
+        raw_rate_x.append(sum(op.sensor_s for op in done) / sum(op.loop_s for op in done))
+        step_ms.append(raw_step_ms[-1] * speed)
+        rate_x.append(raw_rate_x[-1] / speed)
     steps_ms = np.array([1e3 * op.step_s for op in good])
     p95 = float(np.percentile(steps_ms, 95))
+    n = len(step_ms)
     metrics = {
         "setup_s": metric(statistics.median(setup_s), "s", len(setup_s)),
-        "step_ms_p50": metric(float(np.median(steps_ms)), "ms", len(good)),
-        "step_ms_p95": metric(p95, "ms", len(good),
-                              beyond=int(np.count_nonzero(steps_ms > p95))),
-        "sensor_rate_x": metric(sum(op.sensor_s for op in good)
-                                / sum(op.loop_s for op in good), "x", len(good)),
+        "step_ms_p50": metric(statistics.median(step_ms), "ms", n, ops=len(good)),
+        "sensor_rate_x": metric(statistics.median(rate_x), "x", n, ops=len(good)),
         "peak_rss_mb": metric(peak_rss_mb(), "MB", 1),
+        "raw.setup_s": metric(statistics.median(setup_raw_s), "s", len(setup_raw_s)),
+        "raw.step_ms_p50": metric(statistics.median(raw_step_ms), "ms", n),
+        "raw.sensor_rate_x": metric(statistics.median(raw_rate_x), "x", n),
+        "raw.op_step_ms_p50": metric(float(np.median(steps_ms)), "ms", len(good)),
+        "raw.op_step_ms_p95": metric(p95, "ms", len(good),
+                                     beyond=int(np.count_nonzero(steps_ms > p95))),
+        "host.speed": metric(probe.speed([p for u in units for p in u.probes]), "x",
+                             sum(len(u.probes) for u in units)),
     }
     return {"ops": ops, "metrics": metrics}
 
