@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A small numpy-backed engine: just enough operations to express point MLPs,
-sparse convolutions (as gather / matmul / scatter), masked attention and the
-segmentation losses, each with an exact backward pass.  Graphs are built
-eagerly by the forward functions below and walked once, in reverse
-topological order, by :meth:`Tensor.backward`.
+sparse convolutions (one rulebook op per convolution: per kernel tap, a
+matmul over the (destination, source) row pairs that tap connects), masked
+attention and the segmentation losses, each with an exact backward pass.
+Graphs are built eagerly by the forward functions below and walked once, in
+reverse topological order, by :meth:`Tensor.backward`.
 
 Float64 is the test/gradient-check width, float32 the benchmark width.
 """
@@ -24,6 +25,7 @@ __all__ = [
     "slice_cols",
     "gather_rows",
     "scatter_add_rows",
+    "rulebook_conv",
     "segment_maxpool",
     "segment_softmax",
     "Linear",
@@ -428,6 +430,45 @@ def scatter_add_rows(x, index, num_rows):
     return Tensor._node(out_data, (x,), backward)
 
 
+def rulebook_conv(x, weights, bias, rules, num_rows):
+    """Sparse convolution from a rulebook: ``out[dst_t] += x[src_t] @ W_t``.
+
+    ``weights`` stacks one ``(in, out)`` matrix per tap row-wise, ``rules``
+    holds one ``(dst_t, src_t)`` pair of row-index arrays per tap, and the
+    output has ``num_rows`` rows plus ``bias`` (or none).  Within a tap the
+    dst rows must be unique, and so must the src rows: both passes accumulate
+    with in-place fancy indexing, which keeps one write per repeated row.
+    """
+    x = _as_tensor(x)
+    w = weights.data.reshape(len(rules), x.data.shape[1], -1)
+    dtype = np.result_type(x.data, w) if bias is None else np.result_type(x.data, w, bias.data)
+    out_data = np.zeros((num_rows, w.shape[2]), dtype=dtype)
+    for (dst, src), w_t in zip(rules, w):
+        if dst.size:
+            out_data[dst] += x.data[src] @ w_t
+    if bias is not None:
+        out_data += bias.data
+
+    def backward(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            for (dst, src), w_t in zip(rules, w):
+                if dst.size:
+                    gx[src] += g[dst] @ w_t.T
+            x._accumulate(gx)
+        if weights.requires_grad:
+            gw = np.zeros_like(w)
+            for t, (dst, src) in enumerate(rules):
+                if dst.size:
+                    gw[t] = x.data[src].T @ g[dst]
+            weights._accumulate(gw.reshape(weights.data.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+
+    parents = (x, weights) if bias is None else (x, weights, bias)
+    return Tensor._node(out_data, parents, backward)
+
+
 def segment_maxpool(values, segment_ids, num_segments=None):
     """Per-segment channelwise maximum over the rows of ``values``.
 
@@ -444,25 +485,23 @@ def segment_maxpool(values, segment_ids, num_segments=None):
     n_seg = int(num_segments) if num_segments is not None else (int(seg.max()) + 1 if seg.size else 0)
     n_rows, n_ch = x.data.shape
 
-    out_data = np.full((n_seg, n_ch), -np.inf, dtype=x.data.dtype)
-    np.maximum.at(out_data, seg, x.data)
-    empty = np.isinf(out_data)
-    out_data[empty] = 0.0
-
-    # first-argmax winner row per (segment, channel)
-    winner = np.full((n_seg, n_ch), n_rows, dtype=np.int64)
-    if n_rows:
-        hit = x.data == out_data[seg]
-        cand = np.where(hit, np.arange(n_rows)[:, None], n_rows)
-        np.minimum.at(winner, seg, cand)
-    winner[empty] = n_rows
+    # a stable sort keeps each segment's rows in row order, so the first
+    # maximum in sorted order is the first in row order too
+    order = np.argsort(seg, kind="stable")
+    sorted_seg = seg[order]
+    starts = np.flatnonzero(np.diff(sorted_seg, prepend=-1))
+    occupied = sorted_seg[starts]
+    out_data = np.zeros((n_seg, n_ch), dtype=x.data.dtype)
+    out_data[occupied] = np.maximum.reduceat(x.data[order], starts, axis=0)
 
     def backward(g):
+        pooled = out_data[occupied]
+        counts = np.diff(np.r_[starts, n_rows])
+        hit = x.data[order] == np.repeat(pooled, counts, axis=0)
+        pos = np.where(hit, np.arange(n_rows)[:, None], n_rows)
+        first = np.minimum.reduceat(pos, starts, axis=0)
         gx = np.zeros_like(x.data)
-        rows = winner.ravel()
-        ok = rows < n_rows
-        cols = np.tile(np.arange(n_ch), n_seg)[ok]
-        np.add.at(gx, (rows[ok], cols), g.ravel()[ok])
+        gx[order[first], np.arange(n_ch)] = g[occupied]
         x._accumulate(gx)
 
     return Tensor._node(out_data, (x,), backward)

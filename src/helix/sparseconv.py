@@ -10,6 +10,15 @@ Downsampling uses strided convolutions whose kernel extents equal their
 strides, so source windows tile the grid and every fine cell feeds exactly
 one coarse cell.  The decoder mirrors the encoder with transposed strided
 convolutions and additive residual skip connections.
+
+Every convolution runs as one :func:`~helix.autodiff.rulebook_conv` call on a
+rulebook: per kernel tap, the (dst, src) row pairs it connects, i.e. output
+cell ``dst`` reads input cell ``src`` through that tap's weight matrix (the
+"kernel map" of submanifold sparse convolution).  Within a tap every output
+cell has at most one source and every source feeds at most one output cell
+(a cell has one neighbor per offset; a fine cell has one window position), so
+the op accumulates in place.  Rulebooks depend only on occupancy and are
+cached on the grid.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, gather_rows, leaky_relu, matmul, scatter_add_rows
+from .autodiff import Tensor, add, leaky_relu, rulebook_conv
 from .geometry import SparseCylGrid, cell_centers, pack_keys
 
 _LEAKY_SLOPE = 0.01
@@ -53,9 +62,6 @@ class ConvKernel:
     @property
     def taps(self):
         return self.offsets.shape[0]
-
-    def tap_weight(self, t):
-        return gather_rows(self.weights, np.arange(t * self.in_ch, (t + 1) * self.in_ch))
 
     def parameters(self, prefix=""):
         yield prefix + "weights", self.weights
@@ -119,25 +125,14 @@ def sparse_conv(grid: SparseCylGrid, kernel: ConvKernel) -> SparseCylGrid:
     """
     if kernel.in_ch != grid.channels:
         raise ValueError(f"kernel expects {kernel.in_ch} channels, grid has {grid.channels}")
-    n = grid.n_cells
-    maps = _neighbor_maps(grid, kernel.offsets)
-    acc = None
-    for t in range(kernel.taps):
-        dst, src = maps[t]
-        if dst.size == 0:
-            continue
-        contrib = scatter_add_rows(
-            matmul(gather_rows(grid.features, src), kernel.tap_weight(t)), dst, n)
-        acc = contrib if acc is None else add(acc, contrib)
-    if acc is None:
-        acc = Tensor(np.zeros((n, kernel.out_ch), dtype=grid.features.dtype))
-    if kernel.bias is not None:
-        acc = add(acc, kernel.bias)
-    return grid.with_features(acc)
+    rules = _neighbor_maps(grid, kernel.offsets)
+    return grid.with_features(rulebook_conv(grid.features, kernel.weights, kernel.bias,
+                                            rules, grid.n_cells))
 
 
 def _strided_layout(grid: SparseCylGrid, stride):
-    """Coarse occupancy for a tiling stride, plus each fine cell's target/tap."""
+    """Coarse occupancy for a tiling stride, each fine cell's coarse cell, and
+    the per-tap (coarse dst, fine src) rules of the downsampling convolution."""
     key = (b"strided", tuple(stride))
     hit = grid.nbr_cache.get(key)
     if hit is not None:
@@ -152,7 +147,10 @@ def _strided_layout(grid: SparseCylGrid, stride):
     tap_id = (taps[:, 0] * st + taps[:, 1]) * sz + taps[:, 2]
     packed = pack_keys(coarse_bins[:, 0], coarse_bins[:, 1], coarse_bins[:, 2])
     uniq, dst = np.unique(packed, return_inverse=True)
-    out = (uniq, dst, tap_id)
+    by_tap = np.argsort(tap_id, kind="stable")
+    bounds = np.searchsorted(tap_id[by_tap], np.arange(1, sr * st * sz))
+    rules = [(dst[src], src) for src in np.split(by_tap, bounds)]
+    out = (uniq, dst, rules)
     grid.nbr_cache[key] = out
     return out
 
@@ -165,20 +163,8 @@ def strided_conv(grid: SparseCylGrid, kernel: ConvKernel, stride) -> SparseCylGr
     """
     if kernel.in_ch != grid.channels:
         raise ValueError(f"kernel expects {kernel.in_ch} channels, grid has {grid.channels}")
-    uniq, dst, tap_id = _strided_layout(grid, stride)
-    n_coarse = uniq.shape[0]
-    acc = None
-    for t in range(kernel.taps):
-        sel = np.nonzero(tap_id == t)[0]
-        if sel.size == 0:
-            continue
-        contrib = scatter_add_rows(
-            matmul(gather_rows(grid.features, sel), kernel.tap_weight(t)), dst[sel], n_coarse)
-        acc = contrib if acc is None else add(acc, contrib)
-    if acc is None:
-        acc = Tensor(np.zeros((n_coarse, kernel.out_ch), dtype=grid.features.dtype))
-    if kernel.bias is not None:
-        acc = add(acc, kernel.bias)
+    uniq, dst, rules = _strided_layout(grid, stride)
+    acc = rulebook_conv(grid.features, kernel.weights, kernel.bias, rules, uniq.shape[0])
     return _make_coarse(grid, stride, uniq, dst, acc)
 
 
@@ -215,35 +201,19 @@ def transposed_strided_conv(coarse: SparseCylGrid, target: SparseCylGrid,
     """Upsample ``coarse`` onto ``target``'s occupancy (the encoder skip map).
 
     Every target cell reads its unique parent coarse cell through the tap
-    matching its in-window position.  Maps from the same slice guarantee the
-    parent exists; a miss is an internal error.
+    matching its in-window position: the rules of the strided convolution on
+    ``target``, with dst and src swapped.  Maps from the same slice guarantee
+    the parent exists; a miss is an internal error.
     """
     if kernel.in_ch != coarse.channels:
         raise ValueError(f"kernel expects {kernel.in_ch} channels, grid has {coarse.channels}")
-    sr, st, sz = stride
-    parent_packed = pack_keys(target.keys[:, 0] // sr, target.keys[:, 1] // st,
-                              target.keys[:, 2] // sz)
-    parent = coarse.lookup(parent_packed)
+    uniq, _, down_rules = _strided_layout(target, stride)
+    parent = coarse.lookup(uniq)
     if np.any(parent < 0):
         raise RuntimeError("occupancy mismatch between skip map and upsampled map")
-    taps = np.stack([target.keys[:, 0] % sr, target.keys[:, 1] % st,
-                     target.keys[:, 2] % sz], axis=1)
-    tap_id = (taps[:, 0] * st + taps[:, 1]) * sz + taps[:, 2]
-    n_fine = target.n_cells
-    acc = None
-    for t in range(kernel.taps):
-        sel = np.nonzero(tap_id == t)[0]
-        if sel.size == 0:
-            continue
-        contrib = scatter_add_rows(
-            matmul(gather_rows(coarse.features, parent[sel]), kernel.tap_weight(t)),
-            sel, n_fine)
-        acc = contrib if acc is None else add(acc, contrib)
-    if acc is None:
-        acc = Tensor(np.zeros((n_fine, kernel.out_ch), dtype=coarse.features.dtype))
-    if kernel.bias is not None:
-        acc = add(acc, kernel.bias)
-    return target.with_features(acc)
+    rules = [(fine, parent[cell]) for cell, fine in down_rules]
+    return target.with_features(rulebook_conv(coarse.features, kernel.weights, kernel.bias,
+                                              rules, target.n_cells))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from helix.autodiff import (
     MLP,
     Linear,
     Tensor,
+    add,
     concat,
     gather_rows,
     gradcheck,
@@ -12,6 +13,7 @@ from helix.autodiff import (
     log_softmax,
     matmul,
     relu,
+    rulebook_conv,
     scatter_add_rows,
     segment_maxpool,
     segment_softmax,
@@ -91,6 +93,103 @@ def test_segment_maxpool_tie_goes_to_first_row():
     x = Tensor([[2.0], [2.0]], requires_grad=True)
     segment_maxpool(x, [0, 0]).sum().backward()
     np.testing.assert_array_equal(x.grad, [[1.0], [0.0]])
+
+
+def maxpool_reference(x, seg, n_seg, upstream):
+    """``np.maximum.at`` forward; each (segment, channel) gradient goes to the
+    lowest row index attaining the maximum."""
+    out = np.full((n_seg, x.shape[1]), -np.inf)
+    np.maximum.at(out, seg, x)
+    grad = np.zeros_like(x)
+    for s, c in zip(*np.nonzero(np.isfinite(out))):
+        row = np.nonzero((seg == s) & (x[:, c] == out[s, c]))[0][0]
+        grad[row, c] = upstream[s, c]
+    out[np.isinf(out)] = 0.0
+    return out, grad
+
+
+@pytest.mark.parametrize(
+    "values,seg,n_seg",
+    [
+        # unsorted segment ids
+        ([[1.0, 5.0], [3.0, 2.0], [0.5, 9.0], [4.0, 1.0], [2.0, 2.0]], [2, 0, 1, 0, 2], 3),
+        # empty segments 1 and 2 between occupied ones: zero rows, zero gradient
+        ([[1.0, -2.0], [3.0, 4.0], [-1.0, 0.0]], [0, 3, 0], 4),
+        # ties between rows that are not adjacent (rows 0/2 and 0/3 in segment 1)
+        ([[3.0, 1.0], [9.0, 1.0], [3.0, 0.0], [1.0, 1.0]], [1, 0, 1, 1], 2),
+        # many ties, unsorted ids, an empty segment
+        (np.random.default_rng(21).integers(0, 3, (40, 3)).astype(float).tolist(),
+         np.random.default_rng(22).choice([0, 1, 2, 4, 5], 40).tolist(), 6),
+    ],
+)
+def test_segment_maxpool_matches_maximum_at(values, seg, n_seg):
+    x = Tensor(values, requires_grad=True)
+    upstream = np.arange(1.0, 1.0 + n_seg * x.shape[1]).reshape(n_seg, -1)
+    out = segment_maxpool(x, seg, n_seg)
+    (out * Tensor(upstream)).sum().backward()
+    want_out, want_grad = maxpool_reference(np.asarray(values), np.asarray(seg), n_seg, upstream)
+    np.testing.assert_array_equal(out.data, want_out)
+    np.testing.assert_array_equal(x.grad, want_grad)
+
+
+def reference_rulebook_conv(x, weights, bias, rules, num_rows):
+    """The per-tap gather / matmul / scatter / add loop that ``rulebook_conv`` replaced."""
+    in_ch = x.data.shape[1]
+    acc = None
+    for t, (dst, src) in enumerate(rules):
+        if dst.size == 0:
+            continue
+        w_t = gather_rows(weights, np.arange(t * in_ch, (t + 1) * in_ch))
+        contrib = scatter_add_rows(matmul(gather_rows(x, src), w_t), dst, num_rows)
+        acc = contrib if acc is None else add(acc, contrib)
+    if acc is None:
+        acc = Tensor(np.zeros((num_rows, weights.data.shape[1]), dtype=x.data.dtype))
+    if bias is not None:
+        acc = add(acc, bias)
+    return acc
+
+
+def random_rules(rng, taps, n_in, n_out):
+    """Per-tap (dst, src) rows, unique within each tap; tap 1 connects nothing."""
+    rules = []
+    for t in range(taps):
+        k = 0 if t == 1 else int(rng.integers(1, min(n_in, n_out) + 1))
+        rules.append((rng.choice(n_out, k, replace=False), rng.choice(n_in, k, replace=False)))
+    return rules
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_rulebook_conv_matches_per_tap_loop(dtype, tol, with_bias):
+    rng = np.random.default_rng(19)
+    taps, n_in, n_out, c_in, c_out = 5, 9, 7, 3, 4
+    rules = random_rules(rng, taps, n_in, n_out)
+    arrays = [rng.standard_normal(shape).astype(dtype)
+              for shape in ((n_in, c_in), (taps * c_in, c_out), (c_out,), (n_out, c_out))]
+
+    def run(op):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays[:3])
+        out = op(x, w, b if with_bias else None, rules, n_out)
+        (out * Tensor(arrays[3])).sum().backward()
+        return [out.data, x.grad, w.grad] + ([b.grad] if with_bias else [])
+
+    for got, want in zip(run(rulebook_conv), run(reference_rulebook_conv)):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
+def test_rulebook_conv_gradcheck():
+    rng = np.random.default_rng(23)
+    rules = random_rules(rng, 4, 6, 5)
+    x = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
+    w = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+
+    def loss():
+        y = rulebook_conv(x, w, b, rules, 5)
+        return (y * y).sum()
+
+    assert gradcheck(loss, [x, w, b]) < 1e-6
 
 
 def test_fanout_sums_contributions():

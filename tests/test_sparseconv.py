@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helix.sparseconv
 from helix.autodiff import Tensor, gradcheck
 from helix.geometry import GridSpec, SparseCylGrid, cell_centers, empty_grid, pack_keys
 from helix.sparseconv import (
@@ -282,3 +287,67 @@ def test_kernel_offsets_order_deterministic():
     assert offs.shape == (27, 3)
     assert tuple(offs[0]) == (-1, -1, -1)
     assert tuple(offs[13]) == (0, 0, 0)
+
+
+@st.composite
+def seam_grids(draw):
+    """Small random occupancies on rings of 1 to 12 cells, always occupied on
+    both sides of the theta seam, plus a theta stride dividing the ring."""
+    n_theta = draw(st.sampled_from([1, 2, 3, 6, 12]))
+    theta_stride = draw(st.sampled_from([d for d in (1, 2, 3) if n_theta % d == 0]))
+    spec = GridSpec(1, 1.0, n_theta, 1.0, z_origin=0.0, r_max=5.0)
+    cell = st.tuples(st.integers(0, spec.n_r - 1), st.integers(0, n_theta - 1),
+                     st.integers(-2, 2))
+    keys = draw(st.sets(cell, min_size=1, max_size=30))
+    r, _, z = draw(cell)
+    keys |= {(r, 0, z), (r, n_theta - 1, z)}
+    feats = np.ones((len(keys), 2))
+    return build_grid(np.array(sorted(keys)), feats, spec), (3, theta_stride, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seam_grids())
+def test_rules_have_unique_rows_within_each_tap(case):
+    """rulebook_conv accumulates in place: a repeated dst or src row within one
+    tap would silently drop contributions."""
+    grid, stride = case
+    rng = np.random.default_rng(0)
+    seen = []
+    op = helix.sparseconv.rulebook_conv
+
+    def recording(x, weights, bias, rules, num_rows):
+        seen.append(rules)
+        return op(x, weights, bias, rules, num_rows)
+
+    with mock.patch.object(helix.sparseconv, "rulebook_conv", recording):
+        sparse_conv(grid, make_kernel((3, 3, 3), 2, 2, rng))
+        coarse = strided_conv(grid, make_kernel(stride, 2, 3, rng), stride)
+        transposed_strided_conv(coarse, grid, make_kernel(stride, 3, 2, rng), stride)
+    assert len(seen) == 3
+    for rules in seen:
+        for dst, src in rules:
+            assert np.unique(dst).size == dst.size
+            assert np.unique(src).size == src.size
+
+
+def test_each_conv_adds_one_autodiff_node(monkeypatch):
+    rng = np.random.default_rng(17)
+    grid = random_grid(rng, SPEC, 40, 3)
+    conv3 = make_kernel((3, 3, 3), 3, 3, rng)
+    down = make_kernel((3, 3, 2), 3, 4, rng)
+    up = make_kernel((3, 3, 2), 4, 3, rng)
+    coarse = strided_conv(grid, down, (3, 3, 2))
+    node = Tensor._node
+    made = []
+
+    def counted(data, parents, backward):
+        made.append(data.shape)
+        return node(data, parents, backward)
+
+    monkeypatch.setattr(Tensor, "_node", staticmethod(counted))
+    for conv in (lambda: sparse_conv(grid, conv3),
+                 lambda: strided_conv(grid, down, (3, 3, 2)),
+                 lambda: transposed_strided_conv(coarse, grid, up, (3, 3, 2))):
+        before = len(made)
+        conv()
+        assert len(made) - before == 1
