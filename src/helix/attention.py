@@ -26,11 +26,13 @@ from .autodiff import (
     add,
     concat,
     gather_rows,
+    matmul,
     mul,
     reshape,
     scatter_add_rows,
     segment_softmax,
     slice_cols,
+    transpose,
     tsum,
 )
 from .geometry import SparseCylGrid
@@ -196,6 +198,10 @@ class BufferEntry:
     t: np.ndarray
     keys: list     # [block][head] Tensor (n, key_dim)
     values: list   # [block][head] Tensor (n, head_dim)
+    rotations: frozenset = field(init=False)  # the distinct rotation indices held
+
+    def __post_init__(self):
+        self.rotations = frozenset(np.unique(self.rotation).tolist())
 
     def __len__(self):
         return self.centers.shape[0]
@@ -214,7 +220,12 @@ class KVBuffer:
     def evict(self, current_rotation):
         keep = self.cfg.max_offset
         self.entries = [e for e in self.entries
-                        if len(e) and current_rotation - int(e.rotation.max()) <= keep]
+                        if len(e) and current_rotation - max(e.rotations) <= keep]
+
+    def fetch(self, rotations):
+        """The entries holding any of ``rotations``, oldest first."""
+        wanted = set(rotations)
+        return [e for e in self.entries if not e.rotations.isdisjoint(wanted)]
 
     def clear(self):
         self.entries = []
@@ -225,34 +236,92 @@ class KVBuffer:
 # ---------------------------------------------------------------------------
 
 
+_NEIGHBORS = np.stack(np.meshgrid(*[[-1, 0, 1]] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _cell_key(cells, dims):
+    return (cells[..., 0] * dims[1] + cells[..., 1]) * dims[2] + cells[..., 2]
+
+
 def mask_pairs(centers_v, rotation_v, centers_u, rotation_u, cfg: AttnConfig):
     """All (v, u) attention pairs: center distance < radius, rotation offset in P.
 
-    Returns (vi, ui) index arrays in v-major order.  Candidates are assumed
-    causally valid (no future slices).
+    Returns (vi, ui) index arrays in v-major, u-ascending order.  Candidates
+    are assumed causally valid (no future slices).
+
+    A uniform spatial hash finds the candidates: the u centers are sorted by
+    cell, and each v looks up the 27 cells around its own.  Cells are a hair
+    wider than the radius, so two centers closer than the radius lie in
+    neighboring cells even after the rounding of the cell computation; the
+    exact distance and offset tests then pick the pairs.
     """
-    if centers_v.shape[0] == 0 or centers_u.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    off = rotation_v[:, None] - rotation_u[None, :]
-    ok = np.isin(off, cfg.offsets)
-    d2 = ((centers_v[:, None, :] - centers_u[None, :, :]) ** 2).sum(axis=2)
-    ok &= d2 < cfg.radius ** 2
-    vi, ui = np.nonzero(ok)
-    return vi.astype(np.int64), ui.astype(np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    n_v, n_u = centers_v.shape[0], centers_u.shape[0]
+    if n_v == 0 or n_u == 0 or not cfg.radius > 0:
+        return empty, empty.copy()
+    lo = centers_v.min(axis=0)
+    # at most 2**20 cells a side keep the packed cell keys inside int64
+    cell = max(cfg.radius * (1.0 + 1e-6), float((centers_v.max(axis=0) - lo).max()) / 2**20)
+    cells_v = np.floor((centers_v - lo) / cell).astype(np.int64) + 1
+    cells_u = np.floor((centers_u - lo) / cell).astype(np.int64) + 1
+    dims = cells_v.max(axis=0) + 2
+    near = np.flatnonzero(np.all((cells_u >= 0) & (cells_u < dims), axis=1))
+    keys_u = _cell_key(cells_u[near], dims)
+    order = np.argsort(keys_u, kind="stable")
+    keys_u = keys_u[order]
+
+    keys_v = _cell_key(cells_v[:, None, :] + _NEIGHBORS, dims).ravel()
+    first = np.searchsorted(keys_u, keys_v, "left")
+    count = np.searchsorted(keys_u, keys_v, "right") - first
+    vi = np.repeat(np.arange(n_v), count.reshape(n_v, -1).sum(axis=1))
+    run_start = np.cumsum(count) - count
+    ui = near[order[np.arange(vi.size) - np.repeat(run_start - first, count)]]
+
+    d2 = ((centers_v[vi] - centers_u[ui]) ** 2).sum(axis=1)
+    ok = (d2 < cfg.radius ** 2) & np.isin(rotation_v[vi] - rotation_u[ui], cfg.offsets)
+    pair = np.sort(vi[ok] * n_u + ui[ok])
+    return pair // n_u, pair % n_u
 
 
-def _pair_posenc(tables, centers_v, t_v, centers_u, t_u, rot_delta, vi, ui, cfg):
-    """Positional vectors for each masked pair: sum of four binned tables."""
-    dx = centers_u[ui, 0] - centers_v[vi, 0]
-    dy = centers_u[ui, 1] - centers_v[vi, 1]
-    dz = centers_u[ui, 2] - centers_v[vi, 2]
-    bx = spatial_bin(dx, cfg.rho_x, cfg.alpha, cfg.beta, cfg.gamma) + cfg.beta
-    by = spatial_bin(dy, cfg.rho_y, cfg.alpha, cfg.beta, cfg.gamma) + cfg.beta
-    bz = spatial_bin(dz, cfg.rho_z, cfg.alpha, cfg.beta, cfg.gamma) + cfg.beta
-    bt = temporal_bin(rot_delta, cfg.offsets)
-    out = add(add(gather_rows(tables["X"], bx), gather_rows(tables["Y"], by)),
-              add(gather_rows(tables["Z"], bz), gather_rows(tables["T"], bt)))
-    return out
+def _table_starts(cfg: AttnConfig):
+    """First row of the X, Y, Z and T tables in their row-wise stack."""
+    S = cfg.bins_spatial
+    return np.array([0, S, 2 * S, 3 * S])
+
+
+def pair_bins(centers_v, rotation_v, centers_u, rotation_u, vi, ui, cfg: AttnConfig):
+    """Positional-table rows of every pair (v, u), shape (pairs, 4).
+
+    The columns index the row-wise stack of the X, Y, Z and T tables: the
+    spatial bins of the offset ``u - v`` and the temporal bin of
+    ``r_v - r_u``, each shifted to its table's first row.
+    """
+    d = centers_u[ui] - centers_v[vi]
+    rows = [spatial_bin(d[:, i], rho, cfg.alpha, cfg.beta, cfg.gamma) + cfg.beta
+            for i, rho in enumerate((cfg.rho_x, cfg.rho_y, cfg.rho_z))]
+    rows.append(temporal_bin(rotation_v[vi] - rotation_u[ui], cfg.offsets))
+    return np.stack(rows, axis=1) + _table_starts(cfg)
+
+
+def _slice_geometry(tokens: VoxelTokens, past_entries, cfg: AttnConfig):
+    """The mask pairs of a slice against past plus current, and their table rows."""
+    cand_centers = np.concatenate([e.centers for e in past_entries] + [tokens.centers])
+    cand_rot = np.concatenate([e.rotation for e in past_entries] + [tokens.rotation])
+    pairs = mask_pairs(tokens.centers, tokens.rotation, cand_centers, cand_rot, cfg)
+    bins = (None if cfg.without_posenc else
+            pair_bins(tokens.centers, tokens.rotation, cand_centers, cand_rot, *pairs, cfg))
+    return pairs, bins
+
+
+def _pair_posenc(tables, queries, index):
+    """Each pair's positional compatibility: its query against its four table rows.
+
+    Every query meets all stacked table rows in one small product; ``index``
+    holds each pair's four flat positions in it.
+    """
+    stacked = concat([tables[d] for d in ("X", "Y", "Z", "T")], axis=0)
+    compat = reshape(matmul(queries, transpose(stacked)), (-1,))
+    return tsum(gather_rows(compat, index), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +341,14 @@ def _project_kv(features, params: BlockParams, cfg: AttnConfig):
 
 def block_forward(tokens: VoxelTokens, past: BufferEntry | list | None,
                   block_index: int, params: BlockParams, cfg: AttnConfig,
-                  pairs=None):
+                  pairs=None, bins=None):
     """One attention block over a slice's tokens against past plus current.
 
-    Returns the output tokens and this slice's (keys, values) for the buffer.
-    An empty mask degenerates to a pure residual pass-through.
+    ``pairs`` and their ``bins`` (from :func:`mask_pairs` and
+    :func:`pair_bins` over past plus current) are computed here when
+    ``pairs`` is not given.  Returns the output tokens and this slice's
+    (keys, values) for the buffer.  An empty mask degenerates to a pure
+    residual pass-through.
     """
     n = len(tokens)
     cur_keys, cur_values = _project_kv(tokens.features, params, cfg)
@@ -287,32 +359,26 @@ def block_forward(tokens: VoxelTokens, past: BufferEntry | list | None,
     if cfg.slice_by_slice:
         past_entries = []
 
-    cand_centers = np.concatenate([e.centers for e in past_entries] + [tokens.centers])
-    cand_t = np.concatenate([e.t for e in past_entries] + [tokens.t])
-    cand_rot = np.concatenate([e.rotation for e in past_entries] + [tokens.rotation])
-
     if pairs is None:
-        pairs = mask_pairs(tokens.centers, tokens.rotation, cand_centers, cand_rot, cfg)
+        pairs, bins = _slice_geometry(tokens, past_entries, cfg)
     vi, ui = pairs
+    if not cfg.without_posenc:
+        pos_index = vi[:, None] * (3 * cfg.bins_spatial + cfg.bins_temporal) + bins
 
     head_outputs = []
     for h in range(cfg.heads):
-        cand_keys = concat([e.keys[block_index][h] for e in past_entries] + [cur_keys[h]],
-                           axis=0)
-        cand_values = concat([e.values[block_index][h] for e in past_entries]
-                             + [cur_values[h]], axis=0)
         if vi.size == 0:
             head_outputs.append(Tensor(np.zeros((n, cfg.head_dim),
                                                 dtype=tokens.features.dtype)))
             continue
-        k_u = gather_rows(cand_keys, ui)
+        cand_keys = concat([e.keys[block_index][h] for e in past_entries] + [cur_keys[h]],
+                           axis=0)
+        cand_values = concat([e.values[block_index][h] for e in past_entries]
+                             + [cur_values[h]], axis=0)
+        scores = tsum(mul(gather_rows(queries[h], vi), gather_rows(cand_keys, ui)), axis=1)
         if not cfg.without_posenc:
-            k_u = add(k_u, _pair_posenc(params.pos[h], tokens.centers, tokens.t,
-                                        cand_centers, cand_t,
-                                        tokens.rotation[vi] - cand_rot[ui], vi, ui, cfg))
-        q_v = gather_rows(queries[h], vi)
-        scores = mul(tsum(mul(q_v, k_u), axis=1), 1.0 / np.sqrt(cfg.key_dim))
-        attn = segment_softmax(scores, vi, n)
+            scores = add(scores, _pair_posenc(params.pos[h], queries[h], pos_index))
+        attn = segment_softmax(mul(scores, 1.0 / np.sqrt(cfg.key_dim)), vi, n)
         weighted = mul(reshape(attn, (-1, 1)), gather_rows(cand_values, ui))
         head_outputs.append(scatter_add_rows(weighted, vi, n))
 
@@ -326,26 +392,26 @@ def transformer_forward(grid3: SparseCylGrid, buffer: KVBuffer,
                         params: TransformerParams, cfg: AttnConfig) -> SparseCylGrid:
     """Apply all blocks to a slice's coarse map and update the causal buffer.
 
-    The mask is geometric, so the pair set is computed once and shared by all
-    blocks.  The buffer receives this slice's keys/values for every block and
-    is then evicted by rotation age.
+    Only the buffered slices holding a rotation this slice can attend are
+    fetched.  The mask and the positional bins are geometric, so they are
+    computed once and shared by all blocks and heads.  The buffer is first
+    evicted by rotation age, then receives this slice's keys/values for every
+    block.
     """
     tokens = tokens_from_grid(grid3)
     if len(tokens) == 0:
         return grid3
-    current_rotation = int(tokens.rotation.max())
-    buffer.evict(current_rotation)
-    past = list(buffer.entries)
-
-    cand_centers = np.concatenate([e.centers for e in past] + [tokens.centers])
-    cand_rot = np.concatenate([e.rotation for e in past] + [tokens.rotation])
-    pairs = (mask_pairs(tokens.centers, tokens.rotation, tokens.centers, tokens.rotation,
-                        cfg) if cfg.slice_by_slice else
-             mask_pairs(tokens.centers, tokens.rotation, cand_centers, cand_rot, cfg))
+    rotations = np.unique(tokens.rotation).tolist()
+    # a slice straddling two rotations still attends offsets from its oldest one
+    buffer.evict(rotations[0])
+    past = [] if cfg.slice_by_slice else buffer.fetch(
+        {r - p for r in rotations for p in cfg.offsets})
+    pairs, bins = _slice_geometry(tokens, past, cfg)
 
     all_keys, all_values = [], []
     for w in range(cfg.blocks):
-        tokens, (k, v) = block_forward(tokens, past, w, params.blocks[w], cfg, pairs=pairs)
+        tokens, (k, v) = block_forward(tokens, past, w, params.blocks[w], cfg,
+                                       pairs=pairs, bins=bins)
         all_keys.append(k)
         all_values.append(v)
 
@@ -438,11 +504,12 @@ def head_compat_stats(token_sets, params: TransformerParams, cfg: AttnConfig):
     keys for block ``w`` come from that block's input, i.e. the output of
     block ``w - 1``.  Empty bins are absent from the result, not zero.
     """
-    features = np.concatenate([ts.features.data for ts in token_sets])
     centers = np.concatenate([ts.centers for ts in token_sets])
-    t = np.concatenate([ts.t for ts in token_sets])
     rotation = np.concatenate([ts.rotation for ts in token_sets])
     slice_seq = np.concatenate([ts.slice_seq for ts in token_sets])
+    tokens = VoxelTokens(Tensor(np.concatenate([ts.features.data for ts in token_sets])),
+                         centers, np.concatenate([ts.t for ts in token_sets]), rotation,
+                         slice_seq)
 
     vi, ui = mask_pairs(centers, rotation, centers, rotation, cfg)
     keep = slice_seq[ui] <= slice_seq[vi]
@@ -451,30 +518,23 @@ def head_compat_stats(token_sets, params: TransformerParams, cfg: AttnConfig):
     out = {}
     if vi.size == 0:
         return out
-    bins = {
-        "X": spatial_bin(centers[ui, 0] - centers[vi, 0], cfg.rho_x, cfg.alpha,
-                         cfg.beta, cfg.gamma),
-        "Y": spatial_bin(centers[ui, 1] - centers[vi, 1], cfg.rho_y, cfg.alpha,
-                         cfg.beta, cfg.gamma),
-        "Z": spatial_bin(centers[ui, 2] - centers[vi, 2], cfg.rho_z, cfg.alpha,
-                         cfg.beta, cfg.gamma),
-        "T": temporal_bin(rotation[vi] - rotation[ui], cfg.offsets),
-    }
-    block_input = features
+    bins = pair_bins(centers, rotation, centers, rotation, vi, ui, cfg)
+    # the bins as reported: signed spatial bins and the temporal bin index
+    labels = bins - _table_starts(cfg) - [cfg.beta, cfg.beta, cfg.beta, 0]
+    # the blocks themselves attend within a slice only in the ablation
+    attend = slice_seq[ui] == slice_seq[vi] if cfg.slice_by_slice else slice(None)
     for w, block in enumerate(params.blocks):
         for h in range(cfg.heads):
             W = block.kv[h].weight.data
             b = block.kv[h].bias.data
-            keys = (block_input @ W + b)[:, :cfg.key_dim]
-            pos = (block.pos[h]["X"].data[bins["X"] + cfg.beta]
-                   + block.pos[h]["Y"].data[bins["Y"] + cfg.beta]
-                   + block.pos[h]["Z"].data[bins["Z"] + cfg.beta]
-                   + block.pos[h]["T"].data[bins["T"]])
+            keys = (tokens.features.data @ W + b)[:, :cfg.key_dim]
+            stacked = np.concatenate([block.pos[h][d].data for d in "XYZT"])
+            pos = stacked[bins].sum(axis=1)
             compat = np.einsum("ek,ek->e", keys[vi], pos)
-            for d in ("X", "Y", "Z", "T"):
-                for bin_value in np.unique(bins[d]):
-                    sel = bins[d] == bin_value
+            for i, d in enumerate("XYZT"):
+                for bin_value in np.unique(labels[:, i]):
+                    sel = labels[:, i] == bin_value
                     out[(w, h, d, int(bin_value))] = float(compat[sel].mean())
-        block_input = dense_block_reference(block_input, centers, t, rotation,
-                                            slice_seq, w, block, cfg)
+        tokens, _ = block_forward(tokens, None, w, block, cfg,
+                                  pairs=(vi[attend], ui[attend]), bins=bins[attend])
     return out

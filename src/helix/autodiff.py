@@ -141,10 +141,10 @@ class Tensor:
         return mul(self, -1.0)
 
     def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), -1.0))
+        return add(self, other * -1.0)
 
     def __rsub__(self, other):
-        return add(_as_tensor(other), mul(self, -1.0))
+        return add(other, mul(self, -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -188,6 +188,19 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a, b):
+    """Both operands of a binary op as tensors.
+
+    A scalar operand takes the dtype of the tensor operand, so that a float64
+    constant such as ``1 / np.sqrt(k)`` keeps a float32 graph float32.
+    """
+    if isinstance(a, Tensor) and not isinstance(b, Tensor) and np.ndim(b) == 0:
+        return a, Tensor(b, dtype=a.data.dtype)
+    if isinstance(b, Tensor) and not isinstance(a, Tensor) and np.ndim(a) == 0:
+        return Tensor(a, dtype=b.data.dtype), b
+    return _as_tensor(a), _as_tensor(b)
+
+
 def _unbroadcast(grad, shape):
     """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
     while grad.ndim > len(shape):
@@ -204,7 +217,7 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
 
     def backward(g):
@@ -217,7 +230,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
 
     def backward(g):
@@ -230,7 +243,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data / b.data
 
     def backward(g):
@@ -404,15 +417,37 @@ def slice_cols(x, lo, hi):
     return Tensor._node(x.data[:, lo:hi], (x,), backward)
 
 
+def _segments(ids):
+    """How to reduce rows by segment id with ``ufunc.reduceat``.
+
+    Returns ``(order, starts, occupied)``: a stable sort order of ``ids``
+    (None when they are already sorted), the offset in sorted order where
+    each occupied segment begins, and the id of that segment.  A stable
+    order keeps each segment's rows in row order.
+    """
+    order = None if np.all(ids[1:] >= ids[:-1]) else np.argsort(ids, kind="stable")
+    sorted_ids = ids if order is None else ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]) if ids.size else ids
+    return order, starts, sorted_ids[starts]
+
+
+def _segment_reduce(ufunc, values, segments, num_segments, fill=0):
+    """Reduce the rows of ``values`` per segment; segments without rows hold ``fill``."""
+    order, starts, occupied = segments
+    rows = values if order is None else values[order]
+    out = np.full((num_segments,) + values.shape[1:], fill, dtype=values.dtype)
+    out[occupied] = rows if starts.size == rows.shape[0] else ufunc.reduceat(rows, starts, axis=0)
+    return out
+
+
 def gather_rows(x, index):
-    """``out[i] = x[index[i]]``; backward scatter-adds into the source rows."""
+    """``out[i] = x[index[i]]``; backward sums into the source rows."""
     x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, index, g)
-        x._accumulate(gx)
+        rows = g.reshape((index.size,) + x.data.shape[1:])
+        x._accumulate(_segment_reduce(np.add, rows, _segments(index.ravel()), x.data.shape[0]))
 
     return Tensor._node(x.data[index], (x,), backward)
 
@@ -421,8 +456,7 @@ def scatter_add_rows(x, index, num_rows):
     """``out[j] = sum over i with index[i] == j of x[i]``."""
     x = _as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
-    out_data = np.zeros((num_rows,) + x.data.shape[1:], dtype=x.data.dtype)
-    np.add.at(out_data, index, x.data)
+    out_data = _segment_reduce(np.add, x.data, _segments(index), num_rows)
 
     def backward(g):
         x._accumulate(g[index])
@@ -484,17 +518,14 @@ def segment_maxpool(values, segment_ids, num_segments=None):
         raise ValueError("segment_ids must be nonnegative")
     n_seg = int(num_segments) if num_segments is not None else (int(seg.max()) + 1 if seg.size else 0)
     n_rows, n_ch = x.data.shape
-
-    # a stable sort keeps each segment's rows in row order, so the first
-    # maximum in sorted order is the first in row order too
-    order = np.argsort(seg, kind="stable")
-    sorted_seg = seg[order]
-    starts = np.flatnonzero(np.diff(sorted_seg, prepend=-1))
-    occupied = sorted_seg[starts]
-    out_data = np.zeros((n_seg, n_ch), dtype=x.data.dtype)
-    out_data[occupied] = np.maximum.reduceat(x.data[order], starts, axis=0)
+    segments = _segments(seg)
+    out_data = _segment_reduce(np.maximum, x.data, segments, n_seg)
 
     def backward(g):
+        # rows in stable sorted order: the first maximum there is the first in row order
+        order, starts, occupied = segments
+        if order is None:
+            order = np.arange(n_rows)
         pooled = out_data[occupied]
         counts = np.diff(np.r_[starts, n_rows])
         hit = x.data[order] == np.repeat(pooled, counts, axis=0)
@@ -513,17 +544,13 @@ def segment_softmax(scores, segment_ids, num_segments):
     seg = np.asarray(segment_ids, dtype=np.int64)
     if x.data.ndim != 1:
         raise ValueError("segment_softmax expects a flat score vector")
-    m = np.full(num_segments, -np.inf, dtype=x.data.dtype)
-    if seg.size:
-        np.maximum.at(m, seg, x.data)
-    z = np.exp(x.data - m[seg]) if seg.size else np.zeros_like(x.data)
-    denom = np.zeros(num_segments, dtype=x.data.dtype)
-    np.add.at(denom, seg, z)
-    y = z / denom[seg] if seg.size else z
+    segments = _segments(seg)
+    m = _segment_reduce(np.maximum, x.data, segments, num_segments, -np.inf)
+    z = np.exp(x.data - m[seg])
+    y = z / _segment_reduce(np.add, z, segments, num_segments)[seg]
 
     def backward(g):
-        t = np.zeros(num_segments, dtype=x.data.dtype)
-        np.add.at(t, seg, g * y)
+        t = _segment_reduce(np.add, g * y, segments, num_segments)
         x._accumulate(y * (g - t[seg]))
 
     return Tensor._node(y, (x,), backward)

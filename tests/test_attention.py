@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helix.attention import (
     AttnConfig,
@@ -12,6 +16,7 @@ from helix.attention import (
     dense_transformer_reference,
     head_compat_stats,
     mask_pairs,
+    pair_bins,
     spatial_bin,
     temporal_bin,
     tokens_from_grid,
@@ -107,6 +112,93 @@ def test_mask_radius_and_offsets():
     vi, ui = mask_pairs(cv, rv, cu, ru, cfg)
     # distance 5 offset 5 in; distance 7 out; offset 3 out
     assert ui.tolist() == [0]
+
+
+def dense_mask_pairs(centers_v, rotation_v, centers_u, rotation_u, cfg):
+    """The dense distance-matrix mask that the spatial hash replaced."""
+    if centers_v.shape[0] == 0 or centers_u.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    off = rotation_v[:, None] - rotation_u[None, :]
+    ok = np.isin(off, cfg.offsets)
+    d2 = ((centers_v[:, None, :] - centers_u[None, :, :]) ** 2).sum(axis=2)
+    ok &= d2 < cfg.radius ** 2
+    vi, ui = np.nonzero(ok)
+    return vi.astype(np.int64), ui.astype(np.int64)
+
+
+@st.composite
+def mask_cases(draw):
+    """Token sets on a lattice of about radius / 4 steps, mixed with free
+    coordinates, and often u tokens a few steps from the v tokens; either
+    side may be empty.  An exact lattice puts pairs at exactly the radius;
+    lattices a hair wider or narrower put centers on and next to the hash
+    cell edges.  Coordinates go negative."""
+    radius = draw(st.sampled_from([0.3, 1.0, 1.5, 6.0]))
+    step = radius / 4 * draw(st.sampled_from([1.0, 1.0 + 1e-6, 1.0 + 2e-6, 1.0 - 1e-6]))
+    coord = st.one_of(st.integers(-8, 8).map(lambda k: k * step),
+                      st.floats(-3 * radius, 3 * radius))
+
+    def points(n):
+        return np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=n,
+                                      max_size=n)), dtype=np.float64).reshape(n, 3)
+
+    def rotations(n):
+        return np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                        dtype=np.int64)
+
+    n_v, n_u = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    centers_v, rotation_v = points(n_v), rotations(n_v)
+    centers_u, rotation_u = points(n_u), rotations(n_u)
+    if n_v and draw(st.booleans()):  # u tokens up to five steps from v tokens
+        hops = st.tuples(*[st.integers(-5, 5)] * 3)
+        hops = np.array(draw(st.lists(hops, min_size=n_u, max_size=n_u))).reshape(n_u, 3)
+        centers_u = centers_v[np.arange(n_u) % n_v] + hops * step
+    if draw(st.booleans()):  # a slice against its past plus itself, as in streaming
+        centers_u = np.concatenate([centers_u, centers_v])
+        rotation_u = np.concatenate([rotation_u, rotation_v])
+    offsets = draw(st.sampled_from([(0,), (0, 1, 2), (0, 2), (0, 5, 10)]))
+    cfg = AttnConfig(radius=radius, offsets=offsets)
+    return centers_v, rotation_v, centers_u, rotation_u, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_cases())
+def test_mask_pairs_matches_dense(case):
+    vi, ui = mask_pairs(*case)
+    want_vi, want_ui = dense_mask_pairs(*case)
+    assert vi.dtype == ui.dtype == np.int64
+    np.testing.assert_array_equal(vi, want_vi)
+    np.testing.assert_array_equal(ui, want_ui)
+
+
+def test_mask_pairs_keeps_pairs_at_the_radius_edge():
+    cfg = AttnConfig(radius=6.0)
+    below = np.nextafter(6.0, 0.0)
+    cu = np.array([[6.0, 0, 0], [below, 0, 0], [-below, 0, 0], [0, 0, -6.0], [0, below, 0]])
+    rot = np.zeros(5, dtype=np.int64)
+    vi, ui = mask_pairs(np.zeros((1, 3)), rot[:1], cu, rot, cfg)
+    assert ui.tolist() == [1, 2, 4]
+
+
+def test_zero_radius_mask_is_empty_without_warnings():
+    rng = np.random.default_rng(2)
+    c = rng.uniform(-4, 4, (6, 3))
+    rot = np.zeros(6, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vi, ui = mask_pairs(c, rot, c, rot, micro_cfg(radius=0.0))
+    assert vi.size == ui.size == 0
+
+
+def test_pair_bins_index_the_stacked_tables():
+    cfg = AttnConfig()
+    cv = np.zeros((1, 3))
+    cu = np.array([[1.0, -5.0, 0.6], [0.0, 0.0, 0.0]])
+    bins = pair_bins(cv, np.array([10]), cu, np.array([5, 10]), np.array([0, 0]),
+                     np.array([0, 1]), cfg)
+    S = cfg.bins_spatial
+    np.testing.assert_array_equal(bins, [[3 + 1, S + 3 - 3, 2 * S + 3 + 1, 3 * S + 1],
+                                         [3, S + 3, 2 * S + 3, 3 * S]])
 
 
 # -- blocks ----------------------------------------------------------------------
@@ -215,6 +307,57 @@ def test_streaming_matches_batch():
     seq = np.concatenate([t.slice_seq for t in token_sets])
     ref = dense_transformer_reference(feats, centers, tt, rot, seq, params, cfg)
     np.testing.assert_allclose(np.concatenate(outs), ref, atol=1e-9)
+
+
+class RecordingBuffer(KVBuffer):
+    """Records, per fetch, the rotations asked for and the entries returned."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.fetches = []
+
+    def fetch(self, rotations):
+        got = super().fetch(rotations)
+        self.fetches.append((list(self.entries), got))
+        return got
+
+
+def test_streaming_fetches_only_attendable_rotations():
+    """Offsets {0, 2} over five rotations, every other slice straddling two
+    rotation indices: streaming equals the dense batch reference, and a
+    single-rotation slice at r never fetches the entries holding only r - 1."""
+    rng = np.random.default_rng(16)
+    cfg = micro_cfg(blocks=2, offsets=(0, 2))
+    params = TransformerParams(cfg, rng)
+    token_sets = []
+    for s in range(8):
+        tok = random_tokens(rng, 9, cfg, rotations=(s // 2, s // 2 + 1) if s % 2 else (s // 2,))
+        tok.slice_seq = np.full(len(tok), s, dtype=np.int64)
+        token_sets.append(tok)
+    assert len(np.unique(np.concatenate([t.rotation for t in token_sets]))) == 5
+    assert all(len(np.unique(t.rotation)) == 2 for t in token_sets[1::2])
+
+    buffer = RecordingBuffer(cfg)
+    outs = [transformer_forward(_grid_from_tokens(tok, cfg, s), buffer, params, cfg)
+            .features.data for s, tok in enumerate(token_sets)]
+    feats = np.concatenate([t.features.data for t in token_sets])
+    centers = np.concatenate([t.centers for t in token_sets])
+    tt = np.concatenate([t.t for t in token_sets])
+    rot = np.concatenate([t.rotation for t in token_sets])
+    seq = np.concatenate([t.slice_seq for t in token_sets])
+    ref = dense_transformer_reference(feats, centers, tt, rot, seq, params, cfg)
+    np.testing.assert_allclose(np.concatenate(outs), ref, atol=1e-9)
+
+    skipped = 0
+    for s in range(2, 8, 2):
+        r = s // 2
+        buffered, fetched = buffer.fetches[s]
+        only_previous = [e for e in buffered if e.rotations == {r - 1}]
+        assert only_previous
+        assert not any(e.rotations == {r - 1} for e in fetched)
+        assert all(e in fetched for e in buffered if r - 2 in e.rotations)
+        skipped += len(buffered) - len(fetched)
+    assert skipped > 0
 
 
 def test_slice_by_slice_ablation_changes_output():
@@ -338,6 +481,54 @@ def test_head_stats_single_pair():
     expected = float(key @ pos)
     assert stats[(0, 0, "X", 0)] == pytest.approx(expected, abs=1e-12)
     assert stats[(0, 0, "T", 0)] == pytest.approx(expected, abs=1e-12)
+
+
+def dense_head_compat_stats(token_sets, params, cfg):
+    """The earlier statistics: block inputs from the dense -inf reference."""
+    features = np.concatenate([ts.features.data for ts in token_sets])
+    centers = np.concatenate([ts.centers for ts in token_sets])
+    t = np.concatenate([ts.t for ts in token_sets])
+    rotation = np.concatenate([ts.rotation for ts in token_sets])
+    slice_seq = np.concatenate([ts.slice_seq for ts in token_sets])
+    vi, ui = dense_mask_pairs(centers, rotation, centers, rotation, cfg)
+    keep = slice_seq[ui] <= slice_seq[vi]
+    vi, ui = vi[keep], ui[keep]
+    bins = {
+        "X": spatial_bin(centers[ui, 0] - centers[vi, 0], cfg.rho_x),
+        "Y": spatial_bin(centers[ui, 1] - centers[vi, 1], cfg.rho_y),
+        "Z": spatial_bin(centers[ui, 2] - centers[vi, 2], cfg.rho_z),
+        "T": temporal_bin(rotation[vi] - rotation[ui], cfg.offsets),
+    }
+    out = {}
+    block_input = features
+    for w, block in enumerate(params.blocks):
+        for h in range(cfg.heads):
+            keys = (block_input @ block.kv[h].weight.data + block.kv[h].bias.data)[:, :cfg.key_dim]
+            pos = (block.pos[h]["X"].data[bins["X"] + cfg.beta]
+                   + block.pos[h]["Y"].data[bins["Y"] + cfg.beta]
+                   + block.pos[h]["Z"].data[bins["Z"] + cfg.beta]
+                   + block.pos[h]["T"].data[bins["T"]])
+            compat = np.einsum("ek,ek->e", keys[vi], pos)
+            for d in ("X", "Y", "Z", "T"):
+                for b in np.unique(bins[d]):
+                    out[(w, h, d, int(b))] = float(compat[bins[d] == b].mean())
+        block_input = dense_block_reference(block_input, centers, t, rotation, slice_seq, w,
+                                            block, cfg)
+    return out
+
+
+@pytest.mark.parametrize("flags", [{}, {"with_queries": True}, {"slice_by_slice": True}])
+def test_head_stats_two_blocks_match_dense_driven(flags):
+    rng = np.random.default_rng(17)
+    cfg = micro_cfg(blocks=2, **flags)
+    params = TransformerParams(cfg, rng)
+    toks = _slice_fixture(rng, cfg, 4, 8, slices_per_rotation=2)
+    stats = head_compat_stats(toks, params, cfg)
+    want = dense_head_compat_stats(toks, params, cfg)
+    assert set(stats) == set(want)
+    assert any(w == 1 for w, *_ in stats)
+    for key_, value in want.items():
+        assert stats[key_] == pytest.approx(value, abs=1e-9)
 
 
 def test_head_stats_brute_force():

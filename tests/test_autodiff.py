@@ -12,6 +12,7 @@ from helix.autodiff import (
     leaky_relu,
     log_softmax,
     matmul,
+    mul,
     relu,
     rulebook_conv,
     scatter_add_rows,
@@ -210,6 +211,95 @@ def test_gather_scatter_roundtrip_grad():
     y = scatter_add_rows(gather_rows(x, idx), np.array([0, 1, 1]), 2)
     y.sum().backward()
     np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scalar", [0.5, np.float64(0.5), np.float32(0.5), 2],
+                         ids=["float", "np.float64", "np.float32", "int"])
+def test_scalar_operand_takes_tensor_dtype(dtype, scalar):
+    t = Tensor(np.arange(3.0), dtype=dtype)
+    for out in (mul(t, scalar), mul(scalar, t), add(t, scalar), add(scalar, t),
+                t / scalar, t - scalar, scalar - t, -t):
+        assert out.dtype == dtype
+
+
+def scatter_add_reference(x, index, num_rows):
+    out = np.zeros((num_rows,) + x.shape[1:], dtype=x.dtype)
+    np.add.at(out, index, x)
+    return out
+
+
+def segment_softmax_reference(scores, seg, num_segments):
+    m = np.full(num_segments, -np.inf, dtype=scores.dtype)
+    np.maximum.at(m, seg, scores)
+    z = np.exp(scores - m[seg])
+    denom = np.zeros(num_segments, dtype=scores.dtype)
+    np.add.at(denom, seg, z)
+    return z / denom[seg]
+
+
+SEGMENT_CASES = [
+    # unsorted ids
+    ([2, 0, 1, 0, 2, 1, 1], 3),
+    # empty segments 1, 2 and 4 between occupied ones, and a trailing empty one
+    ([0, 3, 0, 5, 3], 7),
+    # single-row segments only, sorted and not
+    ([0, 1, 2, 3], 4),
+    ([3, 0, 2, 1], 5),
+    # sorted with repeats, as the v-major attention pairs are
+    ([0, 0, 0, 1, 4, 4], 5),
+    # no rows at all
+    ([], 3),
+]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("seg,n_seg", SEGMENT_CASES)
+def test_scatter_add_rows_matches_add_at(seg, n_seg, dtype, tol):
+    rng = np.random.default_rng(len(seg) + n_seg)
+    seg = np.asarray(seg, dtype=np.int64)
+    x = Tensor(rng.standard_normal((seg.size, 3)).astype(dtype), requires_grad=True)
+    upstream = rng.standard_normal((n_seg, 3)).astype(dtype)
+    out = scatter_add_rows(x, seg, n_seg)
+    (out * Tensor(upstream)).sum().backward()
+    assert out.dtype == dtype
+    np.testing.assert_allclose(out.data, scatter_add_reference(x.data, seg, n_seg),
+                               rtol=tol, atol=tol)
+    np.testing.assert_array_equal(x.grad, upstream[seg])
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("seg,n_seg", SEGMENT_CASES)
+def test_segment_softmax_matches_maximum_at(seg, n_seg, dtype, tol):
+    rng = np.random.default_rng(len(seg) + 2 * n_seg)
+    seg = np.asarray(seg, dtype=np.int64)
+    scores = (rng.standard_normal(seg.size) * 5).astype(dtype)
+    y = segment_softmax(Tensor(scores), seg, n_seg)
+    assert y.dtype == dtype
+    np.testing.assert_allclose(y.data, segment_softmax_reference(scores, seg, n_seg),
+                               rtol=tol, atol=tol)
+
+
+def test_gather_rows_grad_sums_repeats_in_any_shape():
+    x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    index = np.array([[3, 0], [3, 3], [1, 0]])
+    y = gather_rows(x, index)
+    assert y.shape == (3, 2, 2)
+    (y * Tensor(np.arange(12.0).reshape(3, 2, 2))).sum().backward()
+    want = scatter_add_reference(np.arange(12.0).reshape(6, 2), index.ravel(), 4)
+    np.testing.assert_array_equal(x.grad, want)
+
+
+def test_scatter_and_segment_softmax_gradcheck():
+    rng = np.random.default_rng(29)
+    seg = np.array([4, 0, 4, 2, 0, 4, 2])
+    x = Tensor(rng.standard_normal((7, 2)), requires_grad=True)
+    w = Tensor(rng.standard_normal((6, 2)))
+    assert gradcheck(lambda: (scatter_add_rows(x, seg, 6) * w).sum(), [x]) < 1e-6
+
+    s = Tensor(rng.standard_normal(7), requires_grad=True)
+    v = Tensor(rng.standard_normal(7))
+    assert gradcheck(lambda: (segment_softmax(s, seg, 6) * v).sum(), [s]) < 1e-6
 
 
 def test_segment_softmax_matches_dense():

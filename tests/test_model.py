@@ -153,3 +153,23 @@ def test_tiny_preset_runs(slices):
     scores = m.forward_slice(slices[0], m.new_buffer())
     assert np.all(np.isfinite(scores.data))
     assert m.n_parameters() < toy_model(seed=2).n_parameters() * 4
+
+
+def test_float32_model_stays_float32(slices, monkeypatch):
+    """Every node of a float32 forward pass is float32, through the buffer
+    and both attention blocks, and so are the returned scores."""
+    from helix.autodiff import Tensor
+
+    m = toy_model(seed=4, blocks=2, dtype="float32")
+    node = Tensor._node
+    made = []
+
+    def counted(data, parents, backward):
+        made.append(data.dtype)
+        return node(data, parents, backward)
+
+    monkeypatch.setattr(Tensor, "_node", staticmethod(counted))
+    buf = m.new_buffer()
+    scores = [m.forward_slice(slc, buf) for slc in slices[:2]]
+    assert made and set(made) == {np.dtype(np.float32)}
+    assert all(s.dtype == np.float32 for s in scores)
