@@ -10,8 +10,10 @@ learnable state is the per-head linear layers and the positional tables.
 Streaming works slice by slice: the keys, values and positions of every
 processed slice stay buffered for ``max(offsets)`` rotations, so a new slice
 attends a large spatio-temporal neighborhood without recomputation.  Buffered
-tensors stay connected to the autodiff graph, which makes training windows
-differentiate exactly through the buffer.
+tensors stay connected to the autodiff graph only on the training path
+(``forward_slice``), which makes training windows differentiate exactly
+through the buffer; inference (``segment_points``) runs under ``no_grad``, so
+the buffer holds plain data and its memory is bounded by the payload.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .autodiff import (
     gather_rows,
     matmul,
     mul,
+    no_grad,
     reshape,
     scatter_add_rows,
     segment_softmax,
@@ -535,6 +538,7 @@ def head_compat_stats(token_sets, params: TransformerParams, cfg: AttnConfig):
                 for bin_value in np.unique(labels[:, i]):
                     sel = labels[:, i] == bin_value
                     out[(w, h, d, int(bin_value))] = float(compat[sel].mean())
-        tokens, _ = block_forward(tokens, None, w, block, cfg,
-                                  pairs=(vi[attend], ui[attend]), bins=bins[attend])
+        with no_grad():
+            tokens, _ = block_forward(tokens, None, w, block, cfg,
+                                      pairs=(vi[attend], ui[attend]), bins=bins[attend])
     return out

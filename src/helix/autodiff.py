@@ -5,18 +5,25 @@ sparse convolutions (one rulebook op per convolution: per kernel tap, a
 matmul over the (destination, source) row pairs that tap connects), masked
 attention and the segmentation losses, each with an exact backward pass.
 Graphs are built eagerly by the forward functions below and walked once, in
-reverse topological order, by :meth:`Tensor.backward`.
+reverse topological order, by :meth:`Tensor.backward`.  Inside
+:func:`no_grad` the same functions build no graph: their outputs hold data
+only, so nothing keeps the inputs of a step alive after it.
 
 Float64 is the test/gradient-check width, float32 the benchmark width.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "matmul",
+    "linear",
     "relu",
     "leaky_relu",
     "softmax",
@@ -34,6 +41,23 @@ __all__ = [
 ]
 
 _FLOATS = (np.float32, np.float64)
+
+_grad_enabled = ContextVar("helix_grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Build no autodiff graph inside the block (per thread and async task).
+
+    Operations still compute their outputs, but the outputs get no parents
+    and no backward, so they keep no intermediate arrays alive.  Nests, and
+    restores the previous state on exit, also on an exception.
+    """
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -61,8 +85,8 @@ class Tensor:
     @staticmethod
     def _node(data, parents, backward):
         out = Tensor(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
-        if out.requires_grad:
+        if _grad_enabled.get() and any(p.requires_grad for p in parents):
+            out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
         return out
@@ -273,6 +297,24 @@ def matmul(a, b):
     return Tensor._node(out_data, (a, b), backward)
 
 
+def linear(x, w, b=None):
+    """Affine map ``x @ w + b`` as one node (``b`` may be None)."""
+    x = _as_tensor(x)
+    out_data = x.data @ w.data
+    if b is not None:
+        out_data += b.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+        if b is not None and b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return Tensor._node(out_data, (x, w) if b is None else (x, w, b), backward)
+
+
 def tsum(x, axis=None, keepdims=False):
     x = _as_tensor(x)
     out_data = x.data.sum(axis=axis, keepdims=keepdims)
@@ -318,13 +360,22 @@ def relu(x):
 
 
 def leaky_relu(x, slope=0.01):
+    """``x`` where positive, else ``slope * x``; needs ``0 <= slope <= 1``.
+
+    In that range the output is ``max(x, slope * x)`` and is positive exactly
+    where ``x`` is, so the backward reads its mask from the output.  (With
+    ``slope == 0``, ``+inf`` maps to NaN, as ``0 * inf`` does.)
+    """
+    if not 0 <= slope <= 1:
+        raise ValueError(f"leaky_relu needs 0 <= slope <= 1, got {slope}")
     x = _as_tensor(x)
-    mask = x.data > 0
+    out_data = np.multiply(x.data, slope, dtype=x.data.dtype)
+    np.maximum(x.data, out_data, out=out_data)
 
     def backward(g):
-        x._accumulate(g * np.where(mask, 1.0, slope))
+        x._accumulate(g * np.take(np.array([slope, 1], dtype=g.dtype), out_data > 0))
 
-    return Tensor._node(np.where(mask, x.data, slope * x.data), (x,), backward)
+    return Tensor._node(out_data, (x,), backward)
 
 
 def tabs(x):
@@ -575,8 +626,7 @@ class Linear:
         self.bias = Tensor(np.zeros(out_features), requires_grad=True, dtype=dtype) if bias else None
 
     def __call__(self, x):
-        y = matmul(x, self.weight)
-        return y if self.bias is None else add(y, self.bias)
+        return linear(x, self.weight, self.bias)
 
     def parameters(self, prefix=""):
         yield prefix + "weight", self.weight

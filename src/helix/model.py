@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .attention import AttnConfig, KVBuffer, TransformerParams, transformer_forward
-from .autodiff import MLP, Tensor, concat, gather_rows, scatter_add_rows
+from .autodiff import MLP, Tensor, concat, gather_rows, no_grad, scatter_add_rows
 from .geometry import (
     GridSpec,
     Slice,
@@ -166,7 +166,10 @@ class SegmentationModel:
         """Class scores, one row per point of the slice (zeros where unseen).
 
         Scores depend only on this slice and the causal buffer state; the
-        buffer is advanced with this slice's keys/values.
+        buffer is advanced with this slice's keys/values.  The scores and the
+        buffered keys/values stay connected to the autodiff graph (outside
+        :func:`~helix.autodiff.no_grad`), so training windows differentiate
+        through the buffer.
         """
         n_all = len(slc.points)
         width = self.cfg.n_classes + 1
@@ -191,11 +194,13 @@ class SegmentationModel:
 
         No-echo points get 0 (no prediction).  Labeled points the grid never
         saw (beyond the radial extent) still get a forced prediction so that
-        metrics account for them.
+        metrics account for them.  The forward pass builds no autodiff
+        graph, so the buffer keeps this slice's keys and values as plain data.
         """
         from .metrics import predict_labels
 
-        scores = self.forward_slice(slc, buffer).data
+        with no_grad():
+            scores = self.forward_slice(slc, buffer).data
         preds = predict_labels(scores)
         preds[slc.points.r <= 0] = 0
         return preds, scores

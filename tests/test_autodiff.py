@@ -10,9 +10,11 @@ from helix.autodiff import (
     gather_rows,
     gradcheck,
     leaky_relu,
+    linear,
     log_softmax,
     matmul,
     mul,
+    no_grad,
     relu,
     rulebook_conv,
     scatter_add_rows,
@@ -374,6 +376,132 @@ def test_linear_bias_broadcast():
     layer.bias.data[:] = [1.0, -1.0]
     y = layer(Tensor(np.zeros((4, 3))))
     np.testing.assert_allclose(y.data, np.tile([1.0, -1.0], (4, 1)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_linear_matches_matmul_plus_add(dtype, with_bias):
+    rng = np.random.default_rng(29)
+    arrays = [rng.standard_normal(shape).astype(dtype)
+              for shape in ((6, 5), (5, 3), (3,), (6, 3))]
+
+    def two_nodes(x, w, b):
+        y = matmul(x, w)
+        return y if b is None else add(y, b)
+
+    def run(op):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays[:3])
+        out = op(x, w, b if with_bias else None)
+        (out * Tensor(arrays[3])).sum().backward()
+        return [out.data, x.grad, w.grad] + ([b.grad] if with_bias else [])
+
+    for got, want in zip(run(linear), run(two_nodes)):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_linear_gradcheck():
+    rng = np.random.default_rng(31)
+    x, w, b = (Tensor(rng.standard_normal(shape), requires_grad=True)
+               for shape in ((4, 3), (3, 2), (2,)))
+
+    def loss():
+        y = linear(x, w, b)
+        return (y * y).sum()
+
+    assert gradcheck(loss, [x, w, b]) < 1e-6
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_layer_adds_one_node(monkeypatch, bias):
+    layer = Linear(3, 2, rng=np.random.default_rng(1), bias=bias)
+    node = Tensor._node
+    made = []
+
+    def counted(data, parents, backward):
+        made.append(data.shape)
+        return node(data, parents, backward)
+
+    monkeypatch.setattr(Tensor, "_node", staticmethod(counted))
+    layer(Tensor(np.ones((4, 3))))
+    assert made == [(4, 2)]
+
+
+LEAKY_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40, 1e30, -1e30]
+
+
+def leaky_inputs(dtype):
+    rng = np.random.default_rng(37)
+    return np.r_[LEAKY_SPECIALS, rng.standard_normal(64)].astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.01, 0.25, 1.0])
+def test_leaky_relu_forward_matches_where(dtype, slope):
+    x = leaky_inputs(dtype)
+    got = leaky_relu(Tensor(x), slope).data
+    want = np.where(x > 0, x, slope * x)
+    assert got.dtype == want.dtype == dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class GradProbe(Tensor):
+    """A leaf that keeps the last gradient passed to it."""
+
+    def _accumulate(self, g):
+        self.received = g
+        super()._accumulate(g)
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.25, 1.0])
+def test_leaky_relu_backward_mask_from_output(slope):
+    x = leaky_inputs(np.float64)
+    g = np.random.default_rng(41).standard_normal(x.shape)
+    t = GradProbe(x, requires_grad=True)
+    leaky_relu(t, slope).backward(g)
+    np.testing.assert_array_equal(t.received, g * np.where(x > 0, 1.0, slope))
+
+    x32, g32 = x.astype(np.float32), g.astype(np.float32)
+    t32 = GradProbe(x32, requires_grad=True)
+    leaky_relu(t32, slope).backward(g32)
+    assert t32.received.dtype == np.float32
+    np.testing.assert_array_equal(
+        t32.received, g32 * np.where(x32 > 0, np.float32(1), np.float32(slope)))
+
+
+@pytest.mark.parametrize("slope", [1.5, -0.1])
+def test_leaky_relu_rejects_slopes_outside_unit_interval(slope):
+    with pytest.raises(ValueError):
+        leaky_relu(Tensor(np.ones(3)), slope)
+
+
+def test_no_grad_builds_no_graph_and_restores_state():
+    w = Tensor(np.ones(3), requires_grad=True)
+
+    def builds_graph():
+        y = w * 2.0
+        assert y.requires_grad == bool(y._parents) == (y._backward is not None)
+        return y.requires_grad
+
+    with no_grad():
+        assert not builds_graph()
+        with no_grad():
+            assert not builds_graph()
+        assert not builds_graph()
+    assert builds_graph()
+
+    with pytest.raises(KeyError):
+        with no_grad():
+            with no_grad():
+                raise KeyError("inner")
+    assert builds_graph()
+    with no_grad():
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("inner")
+        assert not builds_graph()
+    assert builds_graph()
 
 
 def test_backward_requires_scalar():

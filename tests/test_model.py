@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from toyfix import scene_slices, toy_model, toy_model_config
@@ -8,6 +11,12 @@ from helix.model import SegmentationModel, load_checkpoint, save_checkpoint
 @pytest.fixture(scope="module")
 def slices():
     return scene_slices(seed=5, n_rotations=2)
+
+
+@pytest.fixture(scope="module")
+def long_stream():
+    """Seven rotations in 36-degree slices: 70 slices against offsets (0, 1)."""
+    return scene_slices(seed=5, n_rotations=7, dtheta=np.deg2rad(36.0))
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +182,49 @@ def test_float32_model_stays_float32(slices, monkeypatch):
     scores = [m.forward_slice(slc, buf) for slc in slices[:2]]
     assert made and set(made) == {np.dtype(np.float32)}
     assert all(s.dtype == np.float32 for s in scores)
+
+
+def buffered_tensors(buf):
+    return [t for e in buf.entries for per_block in (*e.keys, *e.values) for t in per_block]
+
+
+def test_segment_points_memory_stays_bounded(long_stream):
+    """Inference keeps only the buffered payload alive, however long the stream."""
+    assert len(long_stream) == 70
+    m = toy_model(seed=3, dtype="float32")
+    m.segment_points(long_stream[0], m.new_buffer())  # lazy imports and caches, once
+    buf = m.new_buffer()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i, slc in enumerate(long_stream, start=1):
+            m.segment_points(slc, buf)
+            if i in (40, 70):
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+                payload = sum(t.data.nbytes for t in buffered_tensors(buf))
+                assert 0 < held <= 4 * payload, (i, held, payload)
+    finally:
+        tracemalloc.stop()
+    assert all(not t.requires_grad and t._parents == () for t in buffered_tensors(buf))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_segment_points_equals_forward_slice(long_stream, dtype):
+    m = toy_model(seed=3, dtype=dtype)
+    inference, graph = m.new_buffer(), m.new_buffer()
+    for slc in long_stream:
+        _, scores = m.segment_points(slc, inference)
+        assert np.array_equal(scores, m.forward_slice(slc, graph).data)
+
+
+def test_forward_slice_after_segment_points_has_gradients(slices):
+    m = toy_model(seed=3)
+    buf = m.new_buffer()
+    m.segment_points(slices[0], buf)
+    scores = m.forward_slice(slices[1], buf)
+    assert scores.requires_grad
+    scores.abs().sum().backward()
+    grads = {name: t.grad for name, t in m.parameters()}
+    assert all(g is not None for g in grads.values()), [n for n, g in grads.items() if g is None]
+    assert np.any(grads["e_point.l0.weight"] != 0) and np.any(grads["attn.b0.h0.kv.weight"] != 0)
