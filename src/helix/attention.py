@@ -7,13 +7,23 @@ use the token's key both as key and as query plus a binned relative positional
 encoding, per head.  Blocks keep no feed-forward or normalization stages: the
 learnable state is the per-head linear layers and the positional tables.
 
+A block runs all heads at once.  The per-head layers are assembled side by
+side into one key/value projection, and one
+:func:`~helix.autodiff.pair_attention` op computes every head's scores,
+softmax and value sums as batched GEMMs over the slice's tokens x candidates.
+The mask and the positional bins are geometric, computed once per slice and
+shared by all blocks and heads.  The dense oracles for this path live with
+the tests.
+
 Streaming works slice by slice: the keys, values and positions of every
 processed slice stay buffered for ``max(offsets)`` rotations, so a new slice
-attends a large spatio-temporal neighborhood without recomputation.  Buffered
-tensors stay connected to the autodiff graph only on the training path
-(``forward_slice``), which makes training windows differentiate exactly
-through the buffer; inference (``segment_points``) runs under ``no_grad``, so
-the buffer holds plain data and its memory is bounded by the payload.
+attends a large spatio-temporal neighborhood without recomputation.  The
+buffer keeps one key and one value tensor per slice and block, the heads side
+by side.  Buffered tensors stay connected to the autodiff graph only on the
+training path (``forward_slice``), which makes training windows differentiate
+exactly through the buffer; inference (``segment_points``) runs under
+``no_grad``, so the buffer holds plain data and its memory is bounded by the
+payload.
 """
 
 from __future__ import annotations
@@ -27,16 +37,10 @@ from .autodiff import (
     Tensor,
     add,
     concat,
-    gather_rows,
-    matmul,
-    mul,
+    linear,
     no_grad,
-    reshape,
-    scatter_add_rows,
-    segment_softmax,
-    slice_cols,
-    transpose,
-    tsum,
+    pair_attention,
+    take_cols,
 )
 from .geometry import SparseCylGrid
 
@@ -193,14 +197,14 @@ class TransformerParams:
 
 @dataclass
 class BufferEntry:
-    """Keys/values of one processed slice, for every block and head."""
+    """Keys/values of one processed slice, for every block (all heads side by side)."""
 
     slice_seq: int
     rotation: np.ndarray
     centers: np.ndarray
     t: np.ndarray
-    keys: list     # [block][head] Tensor (n, key_dim)
-    values: list   # [block][head] Tensor (n, head_dim)
+    keys: list     # [block] Tensor (n, heads * key_dim), the heads side by side
+    values: list   # [block] Tensor (n, heads * head_dim)
     rotations: frozenset = field(init=False)  # the distinct rotation indices held
 
     def __post_init__(self):
@@ -316,30 +320,26 @@ def _slice_geometry(tokens: VoxelTokens, past_entries, cfg: AttnConfig):
     return pairs, bins
 
 
-def _pair_posenc(tables, queries, index):
-    """Each pair's positional compatibility: its query against its four table rows.
-
-    Every query meets all stacked table rows in one small product; ``index``
-    holds each pair's four flat positions in it.
-    """
-    stacked = concat([tables[d] for d in ("X", "Y", "Z", "T")], axis=0)
-    compat = reshape(matmul(queries, transpose(stacked)), (-1,))
-    return tsum(gather_rows(compat, index), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # blocks
 # ---------------------------------------------------------------------------
 
 
-def _project_kv(features, params: BlockParams, cfg: AttnConfig):
-    """Per-head keys and values from the joint linear layer."""
-    keys, values = [], []
-    for h in range(cfg.heads):
-        kv = params.kv[h](features)
-        keys.append(slice_cols(kv, 0, cfg.key_dim))
-        values.append(slice_cols(kv, cfg.key_dim, cfg.key_dim + cfg.head_dim))
-    return keys, values
+def _side_by_side(layers):
+    """Weight and bias of one linear layer computing all heads' ``layers``,
+    their output columns side by side."""
+    return (concat([layer.weight for layer in layers], axis=1),
+            concat([layer.bias for layer in layers], axis=0))
+
+
+def _keys_values(features, params: BlockParams, cfg: AttnConfig):
+    """All heads' keys (n, heads * key_dim) and values (n, heads * head_dim)
+    from one projection; each head's layer yields its key, then its value."""
+    K, Dh = cfg.key_dim, cfg.head_dim
+    kv = linear(features, *_side_by_side(params.kv))
+    first = np.arange(cfg.heads)[:, None] * (K + Dh)
+    return (take_cols(kv, (first + np.arange(K)).ravel()),
+            take_cols(kv, (first + K + np.arange(Dh)).ravel()))
 
 
 def block_forward(tokens: VoxelTokens, past: BufferEntry | list | None,
@@ -349,14 +349,14 @@ def block_forward(tokens: VoxelTokens, past: BufferEntry | list | None,
 
     ``pairs`` and their ``bins`` (from :func:`mask_pairs` and
     :func:`pair_bins` over past plus current) are computed here when
-    ``pairs`` is not given.  Returns the output tokens and this slice's
-    (keys, values) for the buffer.  An empty mask degenerates to a pure
-    residual pass-through.
+    ``pairs`` is not given.  All heads run in one
+    :func:`~helix.autodiff.pair_attention` op.  Returns the output tokens and
+    this slice's (keys, values) for the buffer.  An empty mask degenerates to
+    a pure residual pass-through.
     """
-    n = len(tokens)
-    cur_keys, cur_values = _project_kv(tokens.features, params, cfg)
-    queries = ([params.query[h](tokens.features) for h in range(cfg.heads)]
-               if cfg.with_queries else cur_keys)
+    keys, values = _keys_values(tokens.features, params, cfg)
+    queries = (linear(tokens.features, *_side_by_side(params.query))
+               if cfg.with_queries else keys)
 
     past_entries = [] if past is None else (past if isinstance(past, list) else [past])
     if cfg.slice_by_slice:
@@ -364,31 +364,16 @@ def block_forward(tokens: VoxelTokens, past: BufferEntry | list | None,
 
     if pairs is None:
         pairs, bins = _slice_geometry(tokens, past_entries, cfg)
-    vi, ui = pairs
-    if not cfg.without_posenc:
-        pos_index = vi[:, None] * (3 * cfg.bins_spatial + cfg.bins_temporal) + bins
+    cand_keys = concat([e.keys[block_index] for e in past_entries] + [keys], axis=0)
+    cand_values = concat([e.values[block_index] for e in past_entries] + [values], axis=0)
+    tables = (None if cfg.without_posenc else
+              concat([tables[d] for tables in params.pos for d in "XYZT"], axis=0))
+    attended = pair_attention(queries, cand_keys, cand_values, tables, pairs, bins,
+                              cfg.heads, 1.0 / np.sqrt(cfg.key_dim))
 
-    head_outputs = []
-    for h in range(cfg.heads):
-        if vi.size == 0:
-            head_outputs.append(Tensor(np.zeros((n, cfg.head_dim),
-                                                dtype=tokens.features.dtype)))
-            continue
-        cand_keys = concat([e.keys[block_index][h] for e in past_entries] + [cur_keys[h]],
-                           axis=0)
-        cand_values = concat([e.values[block_index][h] for e in past_entries]
-                             + [cur_values[h]], axis=0)
-        scores = tsum(mul(gather_rows(queries[h], vi), gather_rows(cand_keys, ui)), axis=1)
-        if not cfg.without_posenc:
-            scores = add(scores, _pair_posenc(params.pos[h], queries[h], pos_index))
-        attn = segment_softmax(mul(scores, 1.0 / np.sqrt(cfg.key_dim)), vi, n)
-        weighted = mul(reshape(attn, (-1, 1)), gather_rows(cand_values, ui))
-        head_outputs.append(scatter_add_rows(weighted, vi, n))
-
-    out_features = add(tokens.features, concat(head_outputs, axis=1))
-    out = VoxelTokens(out_features, tokens.centers, tokens.t, tokens.rotation,
-                      tokens.slice_seq)
-    return out, (cur_keys, cur_values)
+    out = VoxelTokens(add(tokens.features, attended), tokens.centers, tokens.t,
+                      tokens.rotation, tokens.slice_seq)
+    return out, (keys, values)
 
 
 def transformer_forward(grid3: SparseCylGrid, buffer: KVBuffer,
@@ -431,70 +416,6 @@ def transformer_forward(grid3: SparseCylGrid, buffer: KVBuffer,
 
 
 # ---------------------------------------------------------------------------
-# dense references (oracles for the sparse path)
-# ---------------------------------------------------------------------------
-
-
-def dense_block_reference(features, centers, t, rotation, slice_seq, block_index,
-                          params: BlockParams, cfg: AttnConfig):
-    """Dense attention with -inf masking over all tokens at once (numpy only).
-
-    Tokens may span several slices; a token attends tokens of its own or
-    earlier slices, under the metric/temporal mask.  Used as the independent
-    oracle for the masked sparse implementation and its streaming variant.
-    """
-    n, D = features.shape
-    K, Dh = cfg.key_dim, cfg.head_dim
-    off = rotation[:, None] - rotation[None, :]
-    d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    allowed = np.isin(off, cfg.offsets) & (d2 < cfg.radius ** 2)
-    allowed &= slice_seq[None, :] <= slice_seq[:, None]
-    if cfg.slice_by_slice:
-        allowed &= slice_seq[None, :] == slice_seq[:, None]
-
-    heads = []
-    for h in range(cfg.heads):
-        W = params.kv[h].weight.data
-        b = params.kv[h].bias.data
-        kv = features @ W + b
-        k, v = kv[:, :K], kv[:, K:]
-        q = (features @ params.query[h].weight.data + params.query[h].bias.data
-             if cfg.with_queries else k)
-        scores = q @ k.T
-        if not cfg.without_posenc:
-            dxyz = centers[None, :, :] - centers[:, None, :]
-            bx = spatial_bin(dxyz[..., 0], cfg.rho_x, cfg.alpha, cfg.beta, cfg.gamma) + cfg.beta
-            by = spatial_bin(dxyz[..., 1], cfg.rho_y, cfg.alpha, cfg.beta, cfg.gamma) + cfg.beta
-            bz = spatial_bin(dxyz[..., 2], cfg.rho_z, cfg.alpha, cfg.beta, cfg.gamma) + cfg.beta
-            bt = np.zeros_like(off)
-            bt[allowed] = temporal_bin(off[allowed], cfg.offsets)
-            pos = (params.pos[h]["X"].data[bx] + params.pos[h]["Y"].data[by]
-                   + params.pos[h]["Z"].data[bz] + params.pos[h]["T"].data[bt])
-            scores = scores + np.einsum("vk,vuk->vu", q, pos)
-        scores = scores / np.sqrt(K)
-        scores = np.where(allowed, scores, -np.inf)
-        with np.errstate(invalid="ignore"):
-            m = np.max(scores, axis=1, keepdims=True)
-            m = np.where(np.isfinite(m), m, 0.0)
-            e = np.exp(scores - m)
-            e = np.where(allowed, e, 0.0)
-            denom = e.sum(axis=1, keepdims=True)
-            attn = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
-        heads.append(attn @ v)
-    return features + np.concatenate(heads, axis=1)
-
-
-def dense_transformer_reference(features, centers, t, rotation, slice_seq,
-                                params: TransformerParams, cfg: AttnConfig):
-    """All blocks of the batch-mode reference."""
-    out = features
-    for w in range(cfg.blocks):
-        out = dense_block_reference(out, centers, t, rotation, slice_seq, w,
-                                    params.blocks[w], cfg)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # head/bin compatibility statistics
 # ---------------------------------------------------------------------------
 
@@ -527,18 +448,16 @@ def head_compat_stats(token_sets, params: TransformerParams, cfg: AttnConfig):
     # the blocks themselves attend within a slice only in the ablation
     attend = slice_seq[ui] == slice_seq[vi] if cfg.slice_by_slice else slice(None)
     for w, block in enumerate(params.blocks):
-        for h in range(cfg.heads):
-            W = block.kv[h].weight.data
-            b = block.kv[h].bias.data
-            keys = (tokens.features.data @ W + b)[:, :cfg.key_dim]
-            stacked = np.concatenate([block.pos[h][d].data for d in "XYZT"])
-            pos = stacked[bins].sum(axis=1)
-            compat = np.einsum("ek,ek->e", keys[vi], pos)
+        with no_grad():
+            next_tokens, (keys, _) = block_forward(
+                tokens, None, w, block, cfg, pairs=(vi[attend], ui[attend]), bins=bins[attend])
+        pair_keys = keys.data.reshape(len(tokens), cfg.heads, cfg.key_dim)[vi]
+        for h, tables in enumerate(block.pos):
+            stacked = np.concatenate([tables[d].data for d in "XYZT"])
+            compat = np.einsum("ek,ek->e", pair_keys[:, h], stacked[bins].sum(axis=1))
             for i, d in enumerate("XYZT"):
                 for bin_value in np.unique(labels[:, i]):
                     sel = labels[:, i] == bin_value
                     out[(w, h, d, int(bin_value))] = float(compat[sel].mean())
-        with no_grad():
-            tokens, _ = block_forward(tokens, None, w, block, cfg,
-                                      pairs=(vi[attend], ui[attend]), bins=bins[attend])
+        tokens = next_tokens
     return out

@@ -29,12 +29,13 @@ __all__ = [
     "softmax",
     "log_softmax",
     "concat",
-    "slice_cols",
+    "take_cols",
     "gather_rows",
     "scatter_add_rows",
     "rulebook_conv",
     "segment_maxpool",
     "segment_softmax",
+    "pair_attention",
     "Linear",
     "MLP",
     "gradcheck",
@@ -456,16 +457,17 @@ def concat(tensors, axis=0):
 # ---------------------------------------------------------------------------
 
 
-def slice_cols(x, lo, hi):
-    """Contiguous column slice ``x[:, lo:hi]``; backward zero-pads."""
+def take_cols(x, cols):
+    """Columns ``x[..., cols]`` for distinct ``cols``; backward scatters them back."""
     x = _as_tensor(x)
+    cols = np.asarray(cols, dtype=np.int64)
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        gx[:, lo:hi] = g
+        gx[..., cols] = g
         x._accumulate(gx)
 
-    return Tensor._node(x.data[:, lo:hi], (x,), backward)
+    return Tensor._node(x.data[..., cols], (x,), backward)
 
 
 def _segments(ids):
@@ -605,6 +607,154 @@ def segment_softmax(scores, segment_ids, num_segments):
         x._accumulate(y * (g - t[seg]))
 
     return Tensor._node(y, (x,), backward)
+
+
+# ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+# Largest (heads x query rows x candidates) tile pair_attention works on, in elements.
+ATTENTION_TILE = 2 ** 22
+
+
+def _row_tiles(vi, n_rows, row_width):
+    """Contiguous query-row tiles of at most ``ATTENTION_TILE`` elements at
+    ``row_width`` per row, as ``(r0, r1, pairs)``: the rows ``r0:r1`` and the
+    slice of their pairs (``vi`` is sorted).  Tiles without pairs are left out."""
+    step = max(1, ATTENTION_TILE // max(row_width, 1))
+    bounds = np.arange(0, n_rows + step, step).clip(max=n_rows)
+    cuts = np.searchsorted(vi, bounds)
+    return [(r0, r1, slice(p0, p1)) for r0, r1, p0, p1
+            in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:]) if p1 > p0]
+
+
+def pair_attention(q, k, v, tables, pairs, bins, heads, scale):
+    """Masked multi-head attention over (query row, candidate) pairs, one node.
+
+    ``q`` (n, H*K) holds the heads' queries side by side, ``k`` (N, H*K) and
+    ``v`` (N, H*Dh) the candidates' keys and values.  ``pairs = (vi, ui)``
+    lists the attended pairs, ``vi`` non-decreasing.  ``tables`` (H*R, K)
+    stacks each head's R positional-table rows and ``bins`` (P, 4) holds each
+    pair's four rows in them; with ``tables`` None there is no positional
+    term.  Per head h, pair p scores ``scale * q_h[vi] . (k_h[ui] + sum_j
+    T_h[bins[p, j]])``; the scores are softmax-normalized over each query
+    row's pairs and weight ``v_h[ui]``.  Rows without pairs output zeros.
+
+    Query rows go in contiguous tiles of at most ``ATTENTION_TILE`` elements
+    of (heads x rows x candidates).  Per tile the scores are one batched GEMM
+    whose pair entries are taken out, and the value sum is one batched GEMM
+    of the weights scattered back into the zeroed tile.  The backward mirrors
+    those GEMMs; the graph keeps only the (H, P) pair weights and indices.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    vi, ui = (np.asarray(a, dtype=np.int64) for a in pairs)
+    n, n_u, H = q.data.shape[0], k.data.shape[0], heads
+    K, Dh = q.data.shape[1] // H, v.data.shape[1] // H
+    dtype = q.data.dtype
+    q3 = q.data.reshape(n, H, K).transpose(1, 0, 2)
+    k3 = k.data.reshape(n_u, H, K).transpose(1, 0, 2)
+    v3 = v.data.reshape(n_u, H, Dh).transpose(1, 0, 2)
+    t3 = None if tables is None else tables.data.reshape(H, -1, K)
+    # per tile: its rows, its pairs, and their entries in the (H, rows * N) tile
+    tiles = [(r0, r1, sl, (vi[sl] - r0) * n_u + ui[sl])
+             for r0, r1, sl in _row_tiles(vi, n, H * n_u)]
+    tile_size = max([H * (r1 - r0) * n_u for r0, r1, _, _ in tiles], default=0)
+
+    def tile_view(tile, r0, r1):
+        """The first (H, r1 - r0, N) elements of ``tile``, and the same as (H, rows * N)."""
+        view = tile[:H * (r1 - r0) * n_u]
+        return view.reshape(H, r1 - r0, n_u), view.reshape(H, -1)
+
+    def table_index(r0, sl):
+        """The pairs' four entries each in a head's flat (rows x R) table products, (4, pairs)."""
+        return bins[sl].T + (vi[sl] - r0) * t3.shape[1]
+
+    # each query row's pairs form one contiguous segment (vi >= 0)
+    starts = np.flatnonzero(np.diff(vi, prepend=-1))
+    counts = np.diff(np.r_[starts, vi.size])
+
+    def per_pair(per_row):
+        return np.repeat(per_row, counts, axis=1)
+
+    tile = np.empty(tile_size, dtype)
+    scores = np.empty((H, vi.size), dtype)
+    for r0, r1, sl, cols in tiles:
+        box, box_flat = tile_view(tile, r0, r1)
+        np.matmul(q3[:, r0:r1], k3.transpose(0, 2, 1), out=box)
+        s = np.take(box_flat, cols, axis=1)
+        if t3 is not None:
+            compat = np.matmul(q3[:, r0:r1], t3.transpose(0, 2, 1)).reshape(H, -1)
+            for col in table_index(r0, sl):
+                s += np.take(compat, col, axis=1)
+        scores[:, sl] = s
+    scores *= dtype.type(scale)
+    scores -= per_pair(np.maximum.reduceat(scores, starts, axis=1))
+    weights = np.exp(scores, out=scores)
+    weights /= per_pair(np.add.reduceat(weights, starts, axis=1))
+
+    tile[...] = 0
+    out_data = np.zeros((n, H, Dh), dtype)
+    for r0, r1, sl, cols in tiles:
+        box, box_flat = tile_view(tile, r0, r1)
+        box_flat[:, cols] = weights[:, sl]
+        out_data[r0:r1] = np.matmul(box, v3).transpose(1, 0, 2)
+        box_flat[:, cols] = 0
+    out_data = out_data.reshape(n, H * Dh)
+
+    def backward(g):
+        g3 = g.reshape(n, H, Dh).transpose(1, 0, 2)
+        dv = np.zeros_like(v3) if v.requires_grad else None
+        dscores = np.empty_like(weights)
+        # ``sparse`` holds pair values at their entries and is zero elsewhere
+        tile, sparse = np.empty(tile_size, dtype), np.zeros(tile_size, dtype)
+        for r0, r1, sl, cols in tiles:
+            if dv is not None:
+                box, box_flat = tile_view(sparse, r0, r1)
+                box_flat[:, cols] = weights[:, sl]
+                dv += np.matmul(box.transpose(0, 2, 1), g3[:, r0:r1])
+                box_flat[:, cols] = 0
+            box, box_flat = tile_view(tile, r0, r1)
+            np.matmul(g3[:, r0:r1], v3.transpose(0, 2, 1), out=box)
+            dscores[:, sl] = np.take(box_flat, cols, axis=1)
+        if dv is not None:
+            v._accumulate(dv.transpose(1, 0, 2).reshape(n_u, H * Dh))
+        # softmax backward: w * (dw - sum over the row's pairs of w * dw)
+        dscores *= weights
+        dscores -= weights * per_pair(np.add.reduceat(dscores, starts, axis=1))
+        dscores *= dtype.type(scale)
+
+        dq = np.zeros_like(q3) if q.requires_grad else None
+        dk = np.zeros_like(k3) if k.requires_grad else None
+        dt = np.zeros_like(t3) if tables is not None and tables.requires_grad else None
+        for r0, r1, sl, cols in tiles:
+            box, box_flat = tile_view(sparse, r0, r1)
+            box_flat[:, cols] = dscores[:, sl]
+            if dq is not None:
+                dq[:, r0:r1] = np.matmul(box, k3)
+            if dk is not None:
+                dk += np.matmul(box.transpose(0, 2, 1), q3[:, r0:r1])
+            box_flat[:, cols] = 0
+            if t3 is None or (dq is None and dt is None):
+                continue
+            # pairs of a row may share a table row: sum their scores' gradients
+            R = t3.shape[1]
+            index = np.arange(H)[:, None] * ((r1 - r0) * R) + table_index(r0, sl)[:, None, :]
+            dcompat = np.bincount(
+                index.ravel(), np.broadcast_to(dscores[:, sl], index.shape).ravel(),
+                minlength=H * (r1 - r0) * R).astype(dtype).reshape(H, r1 - r0, R)
+            if dq is not None:
+                dq[:, r0:r1] += np.matmul(dcompat, t3)
+            if dt is not None:
+                dt += np.matmul(dcompat.transpose(0, 2, 1), q3[:, r0:r1])
+        if dq is not None:
+            q._accumulate(dq.transpose(1, 0, 2).reshape(n, H * K))
+        if dk is not None:
+            k._accumulate(dk.transpose(1, 0, 2).reshape(n_u, H * K))
+        if dt is not None:
+            tables._accumulate(dt.reshape(tables.data.shape))
+
+    parents = (q, k, v) if tables is None else (q, k, v, tables)
+    return Tensor._node(out_data, parents, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows, log_softmax, reshape, slice_cols, softmax
+from .autodiff import Tensor, gather_rows, log_softmax, reshape, softmax, take_cols
 
 IGNORE = 0
 
@@ -56,7 +56,7 @@ def lovasz_softmax(scores: Tensor, labels) -> Tensor:
     present = [c for c in range(width) if np.any(lab == c)]
     for c in present:
         fg = (lab == c).astype(np.float64)
-        err = (reshape(slice_cols(probas, c, c + 1), (n,)) - fg).abs()
+        err = (reshape(take_cols(probas, [c]), (n,)) - fg).abs()
         order = np.argsort(-err.data, kind="stable")
         grad = _jaccard_grad(fg[order])
         term = (gather_rows(err, order) * grad).sum()

@@ -12,7 +12,9 @@ receive zero score rows.
 
 Checkpoint format (little-endian): magic ``HELIXCKP``, u32 version, u32 JSON
 length, a JSON blob holding the config and a tensor manifest (name, shape,
-offset in floats), then all tensor data concatenated as float32.
+offset in floats), then all tensor data concatenated as float32.  Loading is
+strict: the manifest names each model tensor exactly once, the tensors tile
+the data from offset 0 without gaps, and every value is finite.
 """
 
 from __future__ import annotations
@@ -240,11 +242,31 @@ def load_checkpoint(path) -> SegmentationModel:
     cfg = ModelConfig.from_dict(header["config"])
     model = SegmentationModel(cfg)
     params = model.param_dict()
+    loaded, offset = set(), 0
     for entry in header["tensors"]:
-        t = params[entry["name"]]
+        name = entry["name"]
+        if name not in params:
+            raise ValueError(f"checkpoint tensor {name!r} is not a model parameter")
+        if name in loaded:
+            raise ValueError(f"checkpoint tensor {name!r} appears twice")
+        t = params[name]
         shape = tuple(entry["shape"])
         if t.shape != shape:
-            raise ValueError(f"shape mismatch for {entry['name']}")
-        chunk = data[entry["offset"]:entry["offset"] + t.size]
+            raise ValueError(f"shape mismatch for {name}")
+        if entry["offset"] != offset:
+            raise ValueError(f"checkpoint tensor {name!r} starts at {entry['offset']}, "
+                             f"not at {offset} where the previous one ends")
+        if offset + t.size > data.size:
+            raise ValueError(f"checkpoint tensor {name!r} runs past the data")
+        chunk = data[offset:offset + t.size]
+        if not np.all(np.isfinite(chunk)):
+            raise ValueError(f"checkpoint tensor {name!r} holds a non-finite value")
         t.data[...] = chunk.reshape(shape).astype(t.dtype)
+        loaded.add(name)
+        offset += t.size
+    missing = [name for name in params if name not in loaded]
+    if missing:
+        raise ValueError(f"checkpoint lacks model tensor {missing[0]!r}")
+    if offset != data.size:
+        raise ValueError(f"checkpoint data runs {data.size - offset} floats past its last tensor")
     return model

@@ -95,24 +95,25 @@ def identity_kernel(extents, channels, dtype=np.float64) -> ConvKernel:
 
 
 def _neighbor_maps(grid: SparseCylGrid, offsets):
-    """Per-tap (dst_rows, src_rows) index pairs, cached on the grid occupancy."""
+    """Per-tap (dst_rows, src_rows) index pairs, cached on the grid occupancy.
+
+    All taps' neighbor cells are packed and looked up at once, then split
+    per tap.
+    """
     key = offsets.tobytes()
     hit = grid.nbr_cache.get(key)
     if hit is not None:
         return hit
     spec = grid.spec
-    n_r = spec.n_r
-    maps = []
-    for off in offsets:
-        r = grid.keys[:, 0] + off[0]
-        t = (grid.keys[:, 1] + off[1]) % spec.n_theta
-        z = grid.keys[:, 2] + off[2]
-        ok = (r >= 0) & (r < n_r)
-        src = np.full(grid.n_cells, -1, dtype=np.int64)
-        if np.any(ok):
-            src[ok] = grid.lookup(pack_keys(r[ok], t[ok], z[ok]))
-        dst = np.nonzero(src >= 0)[0]
-        maps.append((dst, src[dst]))
+    r, t, z = (grid.keys[:, i] + offsets[:, i, None] for i in range(3))
+    t %= spec.n_theta
+    ok = (r >= 0) & (r < spec.n_r)
+    src = np.full(ok.shape, -1, dtype=np.int64)
+    src[ok] = grid.lookup(pack_keys(r[ok], t[ok], z[ok]))
+    found = src >= 0
+    tap, dst = np.nonzero(found)
+    bounds = np.searchsorted(tap, np.arange(1, len(offsets)))
+    maps = list(zip(np.split(dst, bounds), np.split(src[found], bounds)))
     grid.nbr_cache[key] = maps
     return maps
 

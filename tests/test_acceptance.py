@@ -14,8 +14,6 @@ from helix.attention import (
     AttnConfig,
     KVBuffer,
     TransformerParams,
-    dense_block_reference,
-    dense_transformer_reference,
     spatial_bin,
     tokens_from_grid,
     transformer_forward,
@@ -59,6 +57,7 @@ from helix.training import (
     train_toy,
 )
 
+from attnref import dense_block_reference, dense_transformer_reference
 from test_sparseconv import build_grid, dense_conv_oracle, random_grid
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helix.autodiff
 from helix.attention import (
     AttnConfig,
     BufferEntry,
@@ -12,8 +13,6 @@ from helix.attention import (
     TransformerParams,
     VoxelTokens,
     block_forward,
-    dense_block_reference,
-    dense_transformer_reference,
     head_compat_stats,
     mask_pairs,
     pair_bins,
@@ -22,7 +21,9 @@ from helix.attention import (
     tokens_from_grid,
     transformer_forward,
 )
-from helix.autodiff import Tensor, gradcheck
+from helix.autodiff import Tensor, gather_rows, gradcheck, pair_attention
+
+from attnref import dense_block_reference, dense_transformer_reference, per_head_attention
 
 
 def micro_cfg(**kw):
@@ -210,7 +211,7 @@ def test_self_only_block_is_residual_plus_value():
     params = TransformerParams(cfg, rng)
     tok = random_tokens(rng, 1, cfg)
     out, (keys, values) = block_forward(tok, None, 0, params.blocks[0], cfg)
-    expected = tok.features.data + np.concatenate([v.data for v in values], axis=1)
+    expected = tok.features.data + values.data
     np.testing.assert_allclose(out.features.data, expected, atol=1e-12)
 
 
@@ -447,6 +448,150 @@ def test_block_gradcheck_through_buffer():
         return (out1.features * out1.features).sum()
 
     assert gradcheck(loss, tensors, max_entries=30) < 1e-5
+
+
+# -- the fused attention op ---------------------------------------------------------
+
+
+def op_geometry(rng, cfg, n, n_past, with_current=True, spread=4.0):
+    """Pairs and bins of ``n`` query tokens at rotation 2 against ``n_past``
+    tokens of rotations 0-2, plus themselves when ``with_current``."""
+    cv = rng.uniform(-spread, spread, (n, 3))
+    rv = np.full(n, 2, dtype=np.int64)
+    cu = rng.uniform(-spread, spread, (n_past, 3))
+    ru = rng.integers(0, 3, n_past)
+    if with_current:
+        cu, ru = np.concatenate([cu, cv]), np.concatenate([ru, rv])
+    pairs = mask_pairs(cv, rv, cu, ru, cfg)
+    return pairs, pair_bins(cv, rv, cu, ru, *pairs, cfg), len(cu)
+
+
+def op_arrays(rng, cfg, n, n_u):
+    """q, k, v, the stacked tables and an upstream gradient."""
+    H, K, Dh = cfg.heads, cfg.key_dim, cfg.head_dim
+    R = 3 * cfg.bins_spatial + cfg.bins_temporal
+    return [rng.standard_normal(shape)
+            for shape in ((n, H * K), (n_u, H * K), (n_u, H * Dh), (H * R, K), (n, H * Dh))]
+
+
+def run_op(op, arrays, pairs, bins, cfg, dtype=np.float64, posenc=True, keys_as_queries=False):
+    """The op's output and the gradients of q (or of nothing: keys as queries),
+    k, v and the tables; a gradient never touched reads zero."""
+    q, k, v, tables = (Tensor(a.astype(dtype), requires_grad=True) for a in arrays[:4])
+    n, n_u = arrays[0].shape[0], arrays[1].shape[0]
+    queries = gather_rows(k, np.arange(n_u - n, n_u)) if keys_as_queries else q
+    out = op(queries, k, v, tables if posenc else None, pairs, bins, cfg.heads,
+             1.0 / np.sqrt(cfg.key_dim))
+    (out * Tensor(arrays[4].astype(dtype))).sum().backward()
+    grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
+             for t in (q, k, v, tables)]
+    return [out.data] + grads
+
+
+def assert_close(got, want, tol):
+    """Equal to ``tol`` of the largest entry; the inputs are O(1), so an
+    all-zero gradient (one whose terms cancel) is held to ``tol`` itself."""
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_allclose(g, w, rtol=tol, atol=tol * max(np.abs(w).max(initial=0), 1))
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("posenc", [True, False])
+def test_pair_attention_matches_per_head_chain(dtype, tol, posenc):
+    rng = np.random.default_rng(31)
+    cfg = micro_cfg(heads=3, dim=12, key_dim=4, radius=3.0)
+    pairs, bins, n_u = op_geometry(rng, cfg, 20, 30)
+    arrays = op_arrays(rng, cfg, 20, n_u)
+    counts = np.bincount(pairs[0], minlength=20)
+    assert counts.max() > 1 and counts.min() >= 1
+    want = run_op(per_head_attention, arrays, pairs, bins, cfg, dtype, posenc)
+    got = run_op(pair_attention, arrays, pairs, bins, cfg, dtype, posenc)
+    assert_close(got, want, tol)
+
+
+@st.composite
+def op_cases(draw):
+    """Random token sets: rows with many, one or no pairs (candidates need
+    not include the query tokens themselves), the empty mask (radius 0 or
+    no candidates), queries of their own or the keys, with and without the
+    positional term."""
+    heads = draw(st.sampled_from([1, 2, 3]))
+    cfg = micro_cfg(heads=heads, dim=heads * draw(st.sampled_from([1, 2])),
+                    key_dim=draw(st.sampled_from([1, 3])),
+                    radius=draw(st.sampled_from([0.0, 1.0, 3.0, 9.0])))
+    keys_as_queries = draw(st.booleans())
+    with_current = keys_as_queries or draw(st.booleans())
+    n, n_past = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs, bins, n_u = op_geometry(rng, cfg, n, n_past, with_current)
+    return (cfg, op_arrays(rng, cfg, n, n_u), pairs, bins, draw(st.booleans()),
+            keys_as_queries)
+
+
+@settings(max_examples=120, deadline=None)
+@given(op_cases())
+def test_pair_attention_property(case):
+    cfg, arrays, pairs, bins, posenc, keys_as_queries = case
+    want = run_op(per_head_attention, arrays, pairs, bins, cfg, posenc=posenc,
+                  keys_as_queries=keys_as_queries)
+    got = run_op(pair_attention, arrays, pairs, bins, cfg, posenc=posenc,
+                 keys_as_queries=keys_as_queries)
+    assert_close(got, want, 1e-12)
+    unattended = np.setdiff1d(np.arange(arrays[0].shape[0]), pairs[0])
+    assert not np.any(got[0][unattended])
+
+
+def test_pair_attention_gradcheck():
+    rng = np.random.default_rng(37)
+    cfg = micro_cfg(heads=2, dim=4, key_dim=3, radius=3.0)
+    pairs, bins, n_u = op_geometry(rng, cfg, 5, 6)
+    q, k, v, tables, up = (Tensor(a, requires_grad=True) for a in op_arrays(rng, cfg, 5, n_u))
+
+    def loss():
+        out = pair_attention(q, k, v, tables, pairs, bins, cfg.heads, 0.5)
+        return (out * up).sum()
+
+    assert gradcheck(loss, [q, k, v, tables]) < 1e-6
+
+
+def test_pair_attention_tiled_equals_untiled(monkeypatch):
+    rng = np.random.default_rng(41)
+    cfg = micro_cfg(heads=2, dim=6, key_dim=3, radius=3.0)
+    pairs, bins, n_u = op_geometry(rng, cfg, 23, 17)
+    arrays = op_arrays(rng, cfg, 23, n_u)
+    whole = run_op(pair_attention, arrays, pairs, bins, cfg)
+    for rows in (1, 4, 7):
+        monkeypatch.setattr(helix.autodiff, "ATTENTION_TILE", rows * cfg.heads * n_u)
+        tiled = helix.autodiff._row_tiles(pairs[0], 23, cfg.heads * n_u)
+        assert len(tiled) == -(-23 // rows) and all(r1 - r0 <= rows for r0, r1, _ in tiled)
+        assert_close(run_op(pair_attention, arrays, pairs, bins, cfg), whole, 1e-12)
+
+
+@pytest.mark.parametrize("flags", [{}, {"with_queries": True}, {"without_posenc": True}])
+def test_block_nodes_do_not_grow_with_heads(monkeypatch, flags):
+    """Per block, attention adds as many autodiff nodes for 8 heads as for 1."""
+    made = []
+    node = Tensor._node
+
+    def counted(data, parents, backward):
+        made.append(data.shape)
+        return node(data, parents, backward)
+
+    counts = []
+    for heads in (1, 2, 4, 8):
+        rng = np.random.default_rng(43)
+        cfg = micro_cfg(heads=heads, dim=16, key_dim=2, offsets=(0, 1), **flags)
+        params = TransformerParams(cfg, rng)
+        past, current = _slice_fixture(rng, cfg, 2, 6)
+        buffer = KVBuffer(cfg)
+        transformer_forward(_grid_from_tokens(past, cfg, 0), buffer, params, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(Tensor, "_node", staticmethod(counted))
+            before = len(made)
+            block_forward(current, buffer.entries, 0, params.blocks[0], cfg)
+            counts.append(len(made) - before)
+    assert counts[0] > 0 and len(set(counts)) == 1, counts
 
 
 # -- head/bin statistics ------------------------------------------------------------

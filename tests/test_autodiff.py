@@ -21,6 +21,7 @@ from helix.autodiff import (
     segment_maxpool,
     segment_softmax,
     softmax,
+    take_cols,
 )
 
 
@@ -410,6 +411,17 @@ def test_linear_gradcheck():
         return (y * y).sum()
 
     assert gradcheck(loss, [x, w, b]) < 1e-6
+
+
+def test_take_cols_forward_and_gradcheck():
+    rng = np.random.default_rng(29)
+    cols = np.array([4, 0, 3])
+    for shape in ((3, 5), (5,)):
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        np.testing.assert_array_equal(take_cols(x, cols).data, x.data[..., cols])
+        up = rng.standard_normal(shape[:-1] + (3,))
+        assert gradcheck(lambda: (take_cols(x, cols) * up).sum(), [x]) < 1e-6
+        assert np.all(x.grad[..., [1, 2]] == 0)
 
 
 @pytest.mark.parametrize("bias", [True, False])

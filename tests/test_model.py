@@ -1,4 +1,7 @@
 import gc
+import json
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -138,6 +141,101 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(p)
 
 
+def read_checkpoint_parts(path):
+    raw = path.read_bytes()
+    magic, version, blob_len = struct.unpack("<8sII", raw[:16])
+    header = json.loads(raw[16:16 + blob_len].decode())
+    return (magic, version), header, np.frombuffer(raw[16 + blob_len:], dtype="<f4").copy()
+
+
+def write_checkpoint_parts(path, head, header, data):
+    header["total_floats"] = int(data.size)
+    blob = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<8sII", *head, len(blob)) + blob + data.astype("<f4").tobytes())
+
+
+def corrupt(tmp_path, model, edit):
+    """A checkpoint of ``model`` whose manifest and data ``edit(tensors, data)``
+    rewrote; returns its path."""
+    path = tmp_path / "corrupt.ckpt"
+    save_checkpoint(path, model)
+    head, header, data = read_checkpoint_parts(path)
+    data = edit(header["tensors"], data)
+    write_checkpoint_parts(path, head, header, data)
+    return path
+
+
+def test_checkpoint_rejects_a_tensor_missing_from_the_manifest(tmp_path, model):
+    def drop_last(tensors, data):
+        last = tensors.pop()
+        return data[:last["offset"]]
+
+    name = model.parameters()[-1][0]
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        load_checkpoint(corrupt(tmp_path, model, drop_last))
+
+
+def test_checkpoint_rejects_an_extra_tensor(tmp_path, model):
+    def add_extra(tensors, data):
+        tensors.append({"name": "attn.b0.h9.kv.bias", "shape": [2], "offset": int(data.size)})
+        return np.r_[data, 1.0, 2.0]
+
+    with pytest.raises(ValueError, match="'attn.b0.h9.kv.bias' is not a model parameter"):
+        load_checkpoint(corrupt(tmp_path, model, add_extra))
+
+
+def test_checkpoint_rejects_a_repeated_tensor(tmp_path, model):
+    def repeat_first(tensors, data):
+        first = dict(tensors[0], offset=int(data.size))
+        tensors.append(first)
+        return np.r_[data, data[:np.prod(first["shape"])]]
+
+    name = model.parameters()[0][0]
+    with pytest.raises(ValueError, match=re.escape(f"{name!r} appears twice")):
+        load_checkpoint(corrupt(tmp_path, model, repeat_first))
+
+
+def test_checkpoint_rejects_offsets_that_do_not_tile_from_zero(tmp_path, model):
+    def swap_offsets(tensors, data):
+        tensors[1]["offset"], tensors[2]["offset"] = tensors[2]["offset"], tensors[1]["offset"]
+        return data
+
+    name = model.parameters()[1][0]
+    with pytest.raises(ValueError, match=re.escape(f"{name!r} starts at")):
+        load_checkpoint(corrupt(tmp_path, model, swap_offsets))
+
+    def start_at_one(tensors, data):
+        for entry in tensors:
+            entry["offset"] += 1
+        return np.r_[0.0, data]
+
+    name = model.parameters()[0][0]
+    with pytest.raises(ValueError, match=re.escape(f"{name!r} starts at 1, not at 0")):
+        load_checkpoint(corrupt(tmp_path, model, start_at_one))
+
+
+def test_checkpoint_rejects_a_tensor_running_past_the_data(tmp_path, model):
+    name = model.parameters()[-1][0]
+    with pytest.raises(ValueError, match=re.escape(f"{name!r} runs past the data")):
+        load_checkpoint(corrupt(tmp_path, model, lambda tensors, data: data[:-1]))
+
+
+def test_checkpoint_rejects_data_past_the_last_tensor(tmp_path, model):
+    with pytest.raises(ValueError, match="2 floats past its last tensor"):
+        load_checkpoint(corrupt(tmp_path, model, lambda tensors, data: np.r_[data, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, model, bad):
+    def poison(tensors, data):
+        entry = next(e for e in tensors if e["name"] == "attn.b0.h1.pos_y")
+        data[entry["offset"] + 3] = bad
+        return data
+
+    with pytest.raises(ValueError, match="'attn.b0.h1.pos_y' holds a non-finite value"):
+        load_checkpoint(corrupt(tmp_path, model, poison))
+
+
 def test_param_count_reported(model):
     n = model.n_parameters()
     assert n > 1000
@@ -185,7 +283,7 @@ def test_float32_model_stays_float32(slices, monkeypatch):
 
 
 def buffered_tensors(buf):
-    return [t for e in buf.entries for per_block in (*e.keys, *e.values) for t in per_block]
+    return [t for e in buf.entries for t in (*e.keys, *e.values)]
 
 
 def test_segment_points_memory_stays_bounded(long_stream):

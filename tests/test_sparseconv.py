@@ -330,6 +330,36 @@ def test_rules_have_unique_rows_within_each_tap(case):
             assert np.unique(src).size == src.size
 
 
+def per_tap_neighbor_maps(grid, offsets):
+    """The per-tap pack and lookup loop that ``_neighbor_maps`` replaced."""
+    spec = grid.spec
+    maps = []
+    for off in offsets:
+        r = grid.keys[:, 0] + off[0]
+        t = (grid.keys[:, 1] + off[1]) % spec.n_theta
+        z = grid.keys[:, 2] + off[2]
+        ok = (r >= 0) & (r < spec.n_r)
+        src = np.full(grid.n_cells, -1, dtype=np.int64)
+        if np.any(ok):
+            src[ok] = grid.lookup(pack_keys(r[ok], t[ok], z[ok]))
+        dst = np.nonzero(src >= 0)[0]
+        maps.append((dst, src[dst]))
+    return maps
+
+
+@settings(max_examples=60, deadline=None)
+@given(seam_grids(), st.sampled_from([(3, 3, 3), (1, 1, 1), (3, 5, 1)]))
+def test_neighbor_maps_match_per_tap_lookup(case, extents):
+    grid, _ = case
+    offsets = kernel_offsets(extents)
+    got = helix.sparseconv._neighbor_maps(grid, offsets)
+    want = per_tap_neighbor_maps(grid, offsets)
+    assert len(got) == len(want) == len(offsets)
+    for (dst, src), (want_dst, want_src) in zip(got, want):
+        assert dst.dtype == src.dtype == np.int64
+        assert np.array_equal(dst, want_dst) and np.array_equal(src, want_src)
+
+
 def test_each_conv_adds_one_autodiff_node(monkeypatch):
     rng = np.random.default_rng(17)
     grid = random_grid(rng, SPEC, 40, 3)
