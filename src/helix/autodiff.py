@@ -1,9 +1,9 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A small numpy-backed engine: just enough operations to express point MLPs,
-sparse convolutions (one rulebook op per convolution: per kernel tap, a
-matmul over the (destination, source) row pairs that tap connects), masked
-attention and the segmentation losses, each with an exact backward pass.
+sparse convolutions (one rulebook op per convolution, over a table of source
+rows per output row and kernel tap), masked attention and the segmentation
+losses, each with an exact backward pass.
 Graphs are built eagerly by the forward functions below and walked once, in
 reverse topological order, by :meth:`Tensor.backward`.  Inside
 :func:`no_grad` the same functions build no graph: their outputs hold data
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "take_cols",
     "gather_rows",
     "scatter_add_rows",
+    "Rulebook",
     "rulebook_conv",
     "segment_maxpool",
     "segment_softmax",
@@ -517,38 +519,101 @@ def scatter_add_rows(x, index, num_rows):
     return Tensor._node(out_data, (x,), backward)
 
 
-def rulebook_conv(x, weights, bias, rules, num_rows):
-    """Sparse convolution from a rulebook: ``out[dst_t] += x[src_t] @ W_t``.
+# Largest gather buffer, in elements, with which rulebook_conv runs a table as one
+# GEMM: below about 1e5 elements the per-tap loop's per-call overhead dominates, above
+# it the dense way's products of empty neighbours do.
+CONV_GATHER_LIMIT = 2 ** 17
 
-    ``weights`` stacks one ``(in, out)`` matrix per tap row-wise, ``rules``
-    holds one ``(dst_t, src_t)`` pair of row-index arrays per tap, and the
-    output has ``num_rows`` rows plus ``bias`` (or none).  Within a tap the
-    dst rows must be unique, and so must the src rows: both passes accumulate
-    with in-place fancy indexing, which keeps one write per repeated row.
+
+class Rulebook:
+    """A sparse convolution's kernel map as one table of source rows.
+
+    ``table[row, tap]`` is the input row that output ``row`` reads through
+    ``tap``'s weights, or ``n_in`` where it reads none.  Within a tap (a
+    column) every input row appears at most once.  The per-tap rules and the
+    transposed table are derived on first use and kept.
+    """
+
+    def __init__(self, table, n_in):
+        self.table = table
+        self.n_in = n_in
+
+    @cached_property
+    def per_tap(self):
+        """One ``(dst, src)`` pair of row arrays per tap, ``dst`` ascending."""
+        rules = []
+        for col in np.ascontiguousarray(self.table.T):
+            dst = np.flatnonzero(col != self.n_in)
+            rules.append((dst, col[dst]))
+        return rules
+
+    @cached_property
+    def transposed(self):
+        """``(n_in, taps)``: the output row each input row feeds through each
+        tap, or the output row count where it feeds none."""
+        rows, taps = self.table.shape
+        out = np.full((self.n_in + 1, taps), rows, dtype=np.int64)
+        # "no neighbour" entries all land on the spare last row
+        out[self.table, np.arange(taps)] = np.arange(rows)[:, None]
+        return out[:self.n_in]
+
+
+def _gather_taps(a, table):
+    """``(rows, taps * width)``: per table row, the rows of ``a`` it names side
+    by side, zeros where it names ``len(a)``."""
+    padded = np.concatenate([a, np.zeros((1, a.shape[1]), a.dtype)])
+    return np.take(padded, table, axis=0).reshape(table.shape[0], table.shape[1] * a.shape[1])
+
+
+def rulebook_conv(x, weights, bias, rulebook):
+    """Sparse convolution from a :class:`Rulebook`: ``out[row] = sum over taps
+    of x[table[row, tap]] @ W_tap`` (plus ``bias``, or none).
+
+    ``weights`` stacks one ``(in, out)`` matrix per tap row-wise.  When both
+    gather buffers (``rows * taps * in`` forward, ``n_in * taps * out``
+    backward) hold at most ``CONV_GATHER_LIMIT`` elements, the table runs as
+    one gather and one GEMM against the stacked weights, and the input
+    gradient as the same over the transposed table.  Otherwise each tap
+    makes its own matmul over its rule pairs, accumulating in place (the
+    rows within a tap are unique).
     """
     x = _as_tensor(x)
-    w = weights.data.reshape(len(rules), x.data.shape[1], -1)
+    table = rulebook.table
+    rows, taps = table.shape
+    w = weights.data.reshape(taps, x.data.shape[1], -1)
     dtype = np.result_type(x.data, w) if bias is None else np.result_type(x.data, w, bias.data)
-    out_data = np.zeros((num_rows, w.shape[2]), dtype=dtype)
-    for (dst, src), w_t in zip(rules, w):
-        if dst.size:
-            out_data[dst] += x.data[src] @ w_t
+    dense = max(rows * w.shape[1], rulebook.n_in * w.shape[2]) * taps <= CONV_GATHER_LIMIT
+    if dense:
+        cols = _gather_taps(x.data, table)
+        out_data = (cols @ weights.data).astype(dtype, copy=False)
+    else:
+        out_data = np.zeros((rows, w.shape[2]), dtype=dtype)
+        for (dst, src), w_t in zip(rulebook.per_tap, w):
+            if dst.size:
+                out_data[dst] += x.data[src] @ w_t
     if bias is not None:
         out_data += bias.data
 
     def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for (dst, src), w_t in zip(rules, w):
-                if dst.size:
-                    gx[src] += g[dst] @ w_t.T
-            x._accumulate(gx)
-        if weights.requires_grad:
-            gw = np.zeros_like(w)
-            for t, (dst, src) in enumerate(rules):
-                if dst.size:
-                    gw[t] = x.data[src].T @ g[dst]
-            weights._accumulate(gw.reshape(weights.data.shape))
+        if dense:
+            if x.requires_grad:
+                w_back = w.transpose(0, 2, 1).reshape(-1, w.shape[1])
+                x._accumulate(_gather_taps(g, rulebook.transposed) @ w_back)
+            if weights.requires_grad:
+                weights._accumulate(cols.T @ g)
+        else:
+            if x.requires_grad:
+                gx = np.zeros_like(x.data)
+                for (dst, src), w_t in zip(rulebook.per_tap, w):
+                    if dst.size:
+                        gx[src] += g[dst] @ w_t.T
+                x._accumulate(gx)
+            if weights.requires_grad:
+                gw = np.zeros_like(w)
+                for t, (dst, src) in enumerate(rulebook.per_tap):
+                    if dst.size:
+                        gw[t] = x.data[src].T @ g[dst]
+                weights._accumulate(gw.reshape(weights.data.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
 

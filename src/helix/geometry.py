@@ -99,7 +99,7 @@ def assemble_slice(points, k, dtheta) -> Slice:
         theta_range=(k * dtheta, (k + 1) * dtheta),
         t_first=float(points.t_release[0]),
         t_last=float(points.t_release[-1]),
-        sensor_position=points.sensor_xyz()[0],
+        sensor_position=points.first_sensor_xyz(),
     )
 
 
@@ -108,7 +108,8 @@ def slice_stream(points: PointCloud, dtheta: float):
 
     ``dtheta == 2*pi`` degenerates to the classic frame-by-frame grouping.
     Only nonempty slices are produced; together they hold every input point
-    exactly once, in chronological order.
+    exactly once, in chronological order.  Each slice's fields are views of
+    ``points``' arrays, not copies.
     """
     if not (0.0 < dtheta <= TWO_PI + 1e-12):
         raise ValueError("dtheta must lie in ]0, 2*pi]")
@@ -120,7 +121,7 @@ def slice_stream(points: PointCloud, dtheta: float):
     ids, starts = np.unique(k, return_index=True)
     bounds = np.append(starts, len(points))
     return [
-        assemble_slice(points.take(np.arange(lo, hi)), int(kk), dtheta)
+        assemble_slice(points.take(slice(lo, hi)), int(kk), dtheta)
         for kk, lo, hi in zip(ids, bounds[:-1], bounds[1:])
     ]
 
@@ -250,7 +251,7 @@ def voxelize(points: PointCloud, features: Tensor, spec: GridSpec,
     if features.data.shape[0] != len(points):
         raise ValueError("one feature row per point required")
     if sensor_position is None:
-        sensor_position = points.sensor_xyz()[0] if len(points) else np.zeros(3)
+        sensor_position = points.first_sensor_xyz() if len(points) else np.zeros(3)
     packed = pack_keys(*voxel_bins(points, spec))
     uniq, inverse = np.unique(packed, return_inverse=True)
     n = uniq.shape[0]

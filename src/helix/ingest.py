@@ -113,6 +113,10 @@ class PointCloud:
         rel = self.rel_cartesian()
         return self.xyz - rel
 
+    def first_sensor_xyz(self):
+        """The sensor position at the first point: ``sensor_xyz()[0]`` from that row alone."""
+        return self.take(slice(0, 1)).sensor_xyz()[0]
+
     def rel_cartesian(self):
         return np.stack(
             [self.r * np.cos(self.theta), self.r * np.sin(self.theta), self.z_rel], axis=1

@@ -12,13 +12,12 @@ one coarse cell.  The decoder mirrors the encoder with transposed strided
 convolutions and additive residual skip connections.
 
 Every convolution runs as one :func:`~helix.autodiff.rulebook_conv` call on a
-rulebook: per kernel tap, the (dst, src) row pairs it connects, i.e. output
-cell ``dst`` reads input cell ``src`` through that tap's weight matrix (the
-"kernel map" of submanifold sparse convolution).  Within a tap every output
-cell has at most one source and every source feeds at most one output cell
-(a cell has one neighbor per offset; a fine cell has one window position), so
-the op accumulates in place.  Rulebooks depend only on occupancy and are
-cached on the grid.
+:class:`~helix.autodiff.Rulebook`: a (output cells, taps) table holding the
+input cell each output cell reads through each tap's weight matrix, or the
+input cell count for none (the "kernel map" of submanifold sparse
+convolution).  Within a tap every input cell feeds at most one output cell (a
+cell has one neighbor per offset; a fine cell has one window position).
+Rulebooks depend only on occupancy and are cached on the grid.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, leaky_relu, rulebook_conv
+from .autodiff import Rulebook, Tensor, add, leaky_relu, rulebook_conv
 from .geometry import SparseCylGrid, cell_centers, pack_keys
 
 _LEAKY_SLOPE = 0.01
@@ -79,43 +78,44 @@ def make_kernel(extents, in_ch, out_ch, rng, bias=True, dtype=np.float64) -> Con
     return ConvKernel(offsets, w, b, in_ch, out_ch)
 
 
-def identity_kernel(extents, channels, dtype=np.float64) -> ConvKernel:
-    """Unit weight at the center tap, zeros elsewhere; for tests."""
-    offsets = kernel_offsets(extents)
-    w = np.zeros((offsets.shape[0] * channels, channels))
-    center = int(np.nonzero((offsets == 0).all(axis=1))[0][0])
-    w[center * channels:(center + 1) * channels] = np.eye(channels)
-    return ConvKernel(offsets, Tensor(w, requires_grad=True, dtype=dtype), None,
-                      channels, channels)
-
-
 # ---------------------------------------------------------------------------
 # convolutions
 # ---------------------------------------------------------------------------
 
 
-def _neighbor_maps(grid: SparseCylGrid, offsets):
-    """Per-tap (dst_rows, src_rows) index pairs, cached on the grid occupancy.
+def _neighbor_maps(grid: SparseCylGrid, offsets) -> Rulebook:
+    """The submanifold convolution's rulebook, cached on the grid occupancy.
 
-    All taps' neighbor cells are packed and looked up at once, then split
-    per tap.
+    The searched taps' neighbor cells are packed and looked up at once.  A
+    centered kernel searches only the taps after the center (first nonzero
+    offset positive): the center tap is the identity, and tap ``-o`` holds
+    tap ``o``'s pairs swapped, since cell ``b`` is ``a + o`` exactly when
+    ``a`` is ``b - o`` (theta wrap included).
     """
     key = offsets.tobytes()
     hit = grid.nbr_cache.get(key)
     if hit is not None:
         return hit
-    spec = grid.spec
-    r, t, z = (grid.keys[:, i] + offsets[:, i, None] for i in range(3))
+    spec, n, taps = grid.spec, grid.n_cells, len(offsets)
+    centered = np.array_equal(offsets, -offsets[::-1])
+    search = np.arange(taps // 2 + 1 if centered else 0, taps)
+    r, t, z = (grid.keys[:, i] + offsets[search, i, None] for i in range(3))
     t %= spec.n_theta
     ok = (r >= 0) & (r < spec.n_r)
-    src = np.full(ok.shape, -1, dtype=np.int64)
-    src[ok] = grid.lookup(pack_keys(r[ok], t[ok], z[ok]))
-    found = src >= 0
-    tap, dst = np.nonzero(found)
-    bounds = np.searchsorted(tap, np.arange(1, len(offsets)))
-    maps = list(zip(np.split(dst, bounds), np.split(src[found], bounds)))
-    grid.nbr_cache[key] = maps
-    return maps
+    src = np.full(ok.shape, n, dtype=np.int64)
+    found = grid.lookup(pack_keys(r[ok], t[ok], z[ok]))
+    src[ok] = np.where(found >= 0, found, n)
+    table = np.empty((n, taps), dtype=np.int64)
+    table[:, search] = src.T
+    if centered:
+        table[:, taps // 2] = np.arange(n)
+        # mirror[src, j] = dst; "no neighbor" entries land on the spare last row
+        mirror = np.full((n + 1, search.size), n, dtype=np.int64)
+        mirror[src.T, np.arange(search.size)] = np.arange(n)[:, None]
+        table[:, taps - 1 - search] = mirror[:n]
+    rulebook = Rulebook(table, n)
+    grid.nbr_cache[key] = rulebook
+    return rulebook
 
 
 def sparse_conv(grid: SparseCylGrid, kernel: ConvKernel) -> SparseCylGrid:
@@ -126,14 +126,13 @@ def sparse_conv(grid: SparseCylGrid, kernel: ConvKernel) -> SparseCylGrid:
     """
     if kernel.in_ch != grid.channels:
         raise ValueError(f"kernel expects {kernel.in_ch} channels, grid has {grid.channels}")
-    rules = _neighbor_maps(grid, kernel.offsets)
-    return grid.with_features(rulebook_conv(grid.features, kernel.weights, kernel.bias,
-                                            rules, grid.n_cells))
+    rulebook = _neighbor_maps(grid, kernel.offsets)
+    return grid.with_features(rulebook_conv(grid.features, kernel.weights, kernel.bias, rulebook))
 
 
 def _strided_layout(grid: SparseCylGrid, stride):
     """Coarse occupancy for a tiling stride, each fine cell's coarse cell, and
-    the per-tap (coarse dst, fine src) rules of the downsampling convolution."""
+    the rulebook of the downsampling convolution."""
     key = (b"strided", tuple(stride))
     hit = grid.nbr_cache.get(key)
     if hit is not None:
@@ -148,10 +147,10 @@ def _strided_layout(grid: SparseCylGrid, stride):
     tap_id = (taps[:, 0] * st + taps[:, 1]) * sz + taps[:, 2]
     packed = pack_keys(coarse_bins[:, 0], coarse_bins[:, 1], coarse_bins[:, 2])
     uniq, dst = np.unique(packed, return_inverse=True)
-    by_tap = np.argsort(tap_id, kind="stable")
-    bounds = np.searchsorted(tap_id[by_tap], np.arange(1, sr * st * sz))
-    rules = [(dst[src], src) for src in np.split(by_tap, bounds)]
-    out = (uniq, dst, rules)
+    n = grid.n_cells
+    table = np.full((uniq.shape[0], sr * st * sz), n, dtype=np.int64)
+    table[dst, tap_id] = np.arange(n)
+    out = (uniq, dst, Rulebook(table, n))
     grid.nbr_cache[key] = out
     return out
 
@@ -164,8 +163,8 @@ def strided_conv(grid: SparseCylGrid, kernel: ConvKernel, stride) -> SparseCylGr
     """
     if kernel.in_ch != grid.channels:
         raise ValueError(f"kernel expects {kernel.in_ch} channels, grid has {grid.channels}")
-    uniq, dst, rules = _strided_layout(grid, stride)
-    acc = rulebook_conv(grid.features, kernel.weights, kernel.bias, rules, uniq.shape[0])
+    uniq, dst, rulebook = _strided_layout(grid, stride)
+    acc = rulebook_conv(grid.features, kernel.weights, kernel.bias, rulebook)
     return _make_coarse(grid, stride, uniq, dst, acc)
 
 
@@ -202,19 +201,20 @@ def transposed_strided_conv(coarse: SparseCylGrid, target: SparseCylGrid,
     """Upsample ``coarse`` onto ``target``'s occupancy (the encoder skip map).
 
     Every target cell reads its unique parent coarse cell through the tap
-    matching its in-window position: the rules of the strided convolution on
-    ``target``, with dst and src swapped.  Maps from the same slice guarantee
-    the parent exists; a miss is an internal error.
+    matching its in-window position: the transposed table of the strided
+    convolution on ``target``, its coarse rows renamed to ``coarse``'s.  Maps
+    from the same slice guarantee the parent exists; a miss is an internal
+    error.
     """
     if kernel.in_ch != coarse.channels:
         raise ValueError(f"kernel expects {kernel.in_ch} channels, grid has {coarse.channels}")
-    uniq, _, down_rules = _strided_layout(target, stride)
+    uniq, _, down = _strided_layout(target, stride)
     parent = coarse.lookup(uniq)
     if np.any(parent < 0):
         raise RuntimeError("occupancy mismatch between skip map and upsampled map")
-    rules = [(fine, parent[cell]) for cell, fine in down_rules]
+    table = np.take(np.append(parent, coarse.n_cells), down.transposed)
     return target.with_features(rulebook_conv(coarse.features, kernel.weights, kernel.bias,
-                                              rules, target.n_cells))
+                                              Rulebook(table, coarse.n_cells)))
 
 
 # ---------------------------------------------------------------------------

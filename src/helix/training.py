@@ -167,7 +167,7 @@ def augment_window(window, rng):
     out = []
     for slc in window:
         pts = apply_augment(slc.points, draw)
-        out.append(replace(slc, points=pts, sensor_position=pts.sensor_xyz()[0]))
+        out.append(replace(slc, points=pts, sensor_position=pts.first_sensor_xyz()))
     return out
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import helix.autodiff
 from helix.autodiff import (
     MLP,
     Linear,
+    Rulebook,
     Tensor,
     add,
     concat,
@@ -136,15 +138,17 @@ def test_segment_maxpool_matches_maximum_at(values, seg, n_seg):
     np.testing.assert_array_equal(x.grad, want_grad)
 
 
-def reference_rulebook_conv(x, weights, bias, rules, num_rows):
+def reference_rulebook_conv(x, weights, bias, rulebook):
     """The per-tap gather / matmul / scatter / add loop that ``rulebook_conv`` replaced."""
     in_ch = x.data.shape[1]
+    num_rows = rulebook.table.shape[0]
     acc = None
-    for t, (dst, src) in enumerate(rules):
+    for t, col in enumerate(rulebook.table.T):
+        dst = np.nonzero(col != rulebook.n_in)[0]
         if dst.size == 0:
             continue
         w_t = gather_rows(weights, np.arange(t * in_ch, (t + 1) * in_ch))
-        contrib = scatter_add_rows(matmul(gather_rows(x, src), w_t), dst, num_rows)
+        contrib = scatter_add_rows(matmul(gather_rows(x, col[dst]), w_t), dst, num_rows)
         acc = contrib if acc is None else add(acc, contrib)
     if acc is None:
         acc = Tensor(np.zeros((num_rows, weights.data.shape[1]), dtype=x.data.dtype))
@@ -153,47 +157,77 @@ def reference_rulebook_conv(x, weights, bias, rules, num_rows):
     return acc
 
 
-def random_rules(rng, taps, n_in, n_out):
-    """Per-tap (dst, src) rows, unique within each tap; tap 1 connects nothing."""
-    rules = []
+def random_rulebook(rng, taps, n_in, n_out):
+    """A table whose taps connect unique rows; tap 1 connects nothing, and the
+    last output row reads no input through any tap."""
+    table = np.full((n_out, taps), n_in, dtype=np.int64)
     for t in range(taps):
-        k = 0 if t == 1 else int(rng.integers(1, min(n_in, n_out) + 1))
-        rules.append((rng.choice(n_out, k, replace=False), rng.choice(n_in, k, replace=False)))
-    return rules
+        k = 0 if t == 1 else int(rng.integers(1, min(n_in, n_out - 1) + 1))
+        table[rng.choice(n_out - 1, k, replace=False), t] = rng.choice(n_in, k, replace=False)
+    return Rulebook(table, n_in)
+
+
+# ``CONV_GATHER_LIMIT`` values that force each way of running a table
+PER_TAP, DENSE = 0, 2 ** 62
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 @pytest.mark.parametrize("with_bias", [True, False])
-def test_rulebook_conv_matches_per_tap_loop(dtype, tol, with_bias):
+def test_rulebook_conv_matches_per_tap_loop(dtype, tol, with_bias, monkeypatch):
+    """Both ways of running a table agree with the reference loop and each other."""
     rng = np.random.default_rng(19)
     taps, n_in, n_out, c_in, c_out = 5, 9, 7, 3, 4
-    rules = random_rules(rng, taps, n_in, n_out)
+    rulebook = random_rulebook(rng, taps, n_in, n_out)
     arrays = [rng.standard_normal(shape).astype(dtype)
               for shape in ((n_in, c_in), (taps * c_in, c_out), (c_out,), (n_out, c_out))]
 
-    def run(op):
+    def run(op, limit):
+        monkeypatch.setattr(helix.autodiff, "CONV_GATHER_LIMIT", limit)
         x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays[:3])
-        out = op(x, w, b if with_bias else None, rules, n_out)
+        out = op(x, w, b if with_bias else None, rulebook)
         (out * Tensor(arrays[3])).sum().backward()
         return [out.data, x.grad, w.grad] + ([b.grad] if with_bias else [])
 
-    for got, want in zip(run(rulebook_conv), run(reference_rulebook_conv)):
-        assert got.dtype == want.dtype == dtype
-        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+    want = run(reference_rulebook_conv, PER_TAP)
+    per_tap, dense = run(rulebook_conv, PER_TAP), run(rulebook_conv, DENSE)
+    for run_out in (want, per_tap, dense):  # the last row reads nothing: bias alone
+        np.testing.assert_array_equal(run_out[0][-1], arrays[2] if with_bias else 0)
+    for got_a, got_b, ref in zip(per_tap, dense, want):
+        for got in (got_a, got_b):
+            assert got.dtype == ref.dtype == dtype
+            np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
+        np.testing.assert_allclose(got_a, got_b, rtol=tol, atol=tol * np.abs(ref).max())
 
 
-def test_rulebook_conv_gradcheck():
+@pytest.mark.parametrize("c_in,c_out,dense", [(3, 4, True), (5, 3, True), (3, 5, False),
+                                              (6, 3, False)])
+def test_rulebook_conv_size_rule(c_in, c_out, dense, monkeypatch):
+    """The dense way runs when both gather buffers (rows x taps x in, inputs x
+    taps x out) fit the limit, and only then; (3, 4) fills it exactly."""
+    taps, n_in, n_out = 5, 9, 7
+    monkeypatch.setattr(helix.autodiff, "CONV_GATHER_LIMIT", n_in * 4 * taps)
+    rulebook = random_rulebook(np.random.default_rng(2), taps, n_in, n_out)
+    x = Tensor(np.ones((n_in, c_in)), requires_grad=True)
+    w = Tensor(np.ones((taps * c_in, c_out)), requires_grad=True)
+    rulebook_conv(x, w, None, rulebook).sum().backward()
+    assert ("transposed" in vars(rulebook)) == dense
+    assert ("per_tap" in vars(rulebook)) != dense
+
+
+def test_rulebook_conv_gradcheck(monkeypatch):
     rng = np.random.default_rng(23)
-    rules = random_rules(rng, 4, 6, 5)
+    rulebook = random_rulebook(rng, 4, 6, 5)
     x = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
     w = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
 
     def loss():
-        y = rulebook_conv(x, w, b, rules, 5)
+        y = rulebook_conv(x, w, b, rulebook)
         return (y * y).sum()
 
-    assert gradcheck(loss, [x, w, b]) < 1e-6
+    for limit in (PER_TAP, DENSE):
+        monkeypatch.setattr(helix.autodiff, "CONV_GATHER_LIMIT", limit)
+        assert gradcheck(loss, [x, w, b]) < 1e-6
 
 
 def test_fanout_sums_contributions():

@@ -58,6 +58,10 @@ def test_slices_partition_stream(stream):
         th = s.points.theta_sensor
         assert np.all(th >= s.theta_range[0] - 1e-12)
         assert np.all(th < s.theta_range[1] + 1e-12)
+        # views of the stream, and the pose at the first point as the per-point
+        # evaluation gives it
+        assert np.shares_memory(s.points.xyz, stream.xyz)
+        assert np.array_equal(s.sensor_position, s.points.sensor_xyz()[0])
 
 
 def test_slice_rejects_unsorted(stream):

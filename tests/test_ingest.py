@@ -294,3 +294,17 @@ def test_range_image_reshape(one_rotation):
     packets, _ = one_rotation
     img = ingest.to_range_image(packets[0].points)
     assert img.shape == (6, 64)
+
+
+def test_first_sensor_xyz_equals_full_evaluation(one_rotation):
+    """The one-row sensor position is bit-identical to row 0 of the per-point
+    evaluation, for every point taken as the first of its cloud."""
+    packets, _ = one_rotation
+    pts = packets_to_points(packets)
+    for cloud in (pts, augment(pts, 3)):
+        full = cloud.sensor_xyz()
+        for i in range(len(cloud)):
+            tail = cloud.take(slice(i, None))
+            assert np.array_equal(tail.first_sensor_xyz(), full[i])
+            if i % 997 == 0:
+                assert np.array_equal(tail.first_sensor_xyz(), tail.sensor_xyz()[0])

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helix.autodiff
 import helix.sparseconv
 from helix.autodiff import Tensor, gradcheck
 from helix.geometry import GridSpec, SparseCylGrid, cell_centers, empty_grid, pack_keys
 from helix.sparseconv import (
+    ConvKernel,
     CylUNet,
     UNetConfig,
-    identity_kernel,
     kernel_offsets,
     make_kernel,
     sparse_conv,
@@ -19,6 +21,16 @@ from helix.sparseconv import (
     strided_maxpool,
     transposed_strided_conv,
 )
+
+
+def identity_kernel(extents, channels, dtype=np.float64) -> ConvKernel:
+    """Unit weight at the center tap, zeros elsewhere."""
+    offsets = kernel_offsets(extents)
+    w = np.zeros((offsets.shape[0] * channels, channels))
+    center = int(np.nonzero((offsets == 0).all(axis=1))[0][0])
+    w[center * channels:(center + 1) * channels] = np.eye(channels)
+    return ConvKernel(offsets, Tensor(w, requires_grad=True, dtype=dtype), None,
+                      channels, channels)
 
 
 def build_grid(keys, features, spec):
@@ -305,28 +317,39 @@ def seam_grids(draw):
     return build_grid(np.array(sorted(keys)), feats, spec), (3, theta_stride, 2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seam_grids())
-def test_rules_have_unique_rows_within_each_tap(case):
-    """rulebook_conv accumulates in place: a repeated dst or src row within one
-    tap would silently drop contributions."""
-    grid, stride = case
-    rng = np.random.default_rng(0)
+@contextmanager
+def recorded_rulebooks():
+    """The rulebook of every ``rulebook_conv`` call made inside the block."""
     seen = []
     op = helix.sparseconv.rulebook_conv
 
-    def recording(x, weights, bias, rules, num_rows):
-        seen.append(rules)
-        return op(x, weights, bias, rules, num_rows)
+    def recording(x, weights, bias, rulebook):
+        seen.append(rulebook)
+        return op(x, weights, bias, rulebook)
 
     with mock.patch.object(helix.sparseconv, "rulebook_conv", recording):
+        yield seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(seam_grids())
+def test_rules_have_unique_rows_within_each_tap(case):
+    """Within a tap an input row feeds at most one output row: the dense
+    backward builds the transposed table by assignment, and the per-tap pass
+    accumulates in place, so a repeat would silently drop contributions."""
+    grid, stride = case
+    rng = np.random.default_rng(0)
+    with recorded_rulebooks() as seen:
         sparse_conv(grid, make_kernel((3, 3, 3), 2, 2, rng))
         coarse = strided_conv(grid, make_kernel(stride, 2, 3, rng), stride)
         transposed_strided_conv(coarse, grid, make_kernel(stride, 3, 2, rng), stride)
     assert len(seen) == 3
-    for rules in seen:
-        for dst, src in rules:
-            assert np.unique(dst).size == dst.size
+    n, m = grid.n_cells, coarse.n_cells
+    for rulebook, (n_out, n_in) in zip(seen, ((n, n), (m, n), (n, m))):
+        assert rulebook.n_in == n_in and rulebook.table.shape[0] == n_out
+        assert rulebook.table.min(initial=0) >= 0 and rulebook.table.max(initial=0) <= n_in
+        for col in rulebook.table.T:
+            src = col[col != n_in]
             assert np.unique(src).size == src.size
 
 
@@ -347,17 +370,91 @@ def per_tap_neighbor_maps(grid, offsets):
     return maps
 
 
+def per_tap_strided_rules(grid, stride):
+    """The per-tap (coarse dst, fine src) lists that ``_strided_layout`` built
+    before its table, with the coarse occupancy."""
+    sr, st, sz = stride
+    coarse = pack_keys(grid.keys[:, 0] // sr, grid.keys[:, 1] // st, grid.keys[:, 2] // sz)
+    tap_id = ((grid.keys[:, 0] % sr) * st + grid.keys[:, 1] % st) * sz + grid.keys[:, 2] % sz
+    uniq, dst = np.unique(coarse, return_inverse=True)
+    by_tap = np.argsort(tap_id, kind="stable")
+    bounds = np.searchsorted(tap_id[by_tap], np.arange(1, sr * st * sz))
+    return uniq, [(dst[src], src) for src in np.split(by_tap, bounds)]
+
+
+def rules_table(rules, num_rows, n_in):
+    """Per-tap (dst, src) lists as a (num_rows, taps) table with sentinel ``n_in``."""
+    table = np.full((num_rows, len(rules)), n_in, dtype=np.int64)
+    for t, (dst, src) in enumerate(rules):
+        assert np.unique(dst).size == dst.size
+        table[dst, t] = src
+    return table
+
+
 @settings(max_examples=60, deadline=None)
-@given(seam_grids(), st.sampled_from([(3, 3, 3), (1, 1, 1), (3, 5, 1)]))
+@given(seam_grids(), st.sampled_from([(3, 3, 3), (3, 1, 3), (1, 3, 3), (3, 3, 1), (1, 1, 1),
+                                      (3, 5, 1), (3, 3, 2)]))
 def test_neighbor_maps_match_per_tap_lookup(case, extents):
+    """The table, symmetric search included, equals the all-taps lookup; (3, 3, 2)
+    is not centered and searches every tap."""
     grid, _ = case
     offsets = kernel_offsets(extents)
-    got = helix.sparseconv._neighbor_maps(grid, offsets)
+    rulebook = helix.sparseconv._neighbor_maps(grid, offsets)
     want = per_tap_neighbor_maps(grid, offsets)
-    assert len(got) == len(want) == len(offsets)
-    for (dst, src), (want_dst, want_src) in zip(got, want):
-        assert dst.dtype == src.dtype == np.int64
+    assert rulebook.table.dtype == np.int64 and rulebook.n_in == grid.n_cells
+    np.testing.assert_array_equal(rulebook.table, rules_table(want, grid.n_cells, grid.n_cells))
+    for (dst, src), (want_dst, want_src) in zip(rulebook.per_tap, want):
         assert np.array_equal(dst, want_dst) and np.array_equal(src, want_src)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seam_grids())
+def test_strided_tables_match_per_tap_lists(case):
+    grid, stride = case
+    rng = np.random.default_rng(0)
+    uniq, rules = per_tap_strided_rules(grid, stride)
+    got_uniq, _, down = helix.sparseconv._strided_layout(grid, stride)
+    np.testing.assert_array_equal(got_uniq, uniq)
+    np.testing.assert_array_equal(down.table, rules_table(rules, uniq.size, grid.n_cells))
+
+    coarse = strided_conv(grid, make_kernel(stride, 2, 3, rng), stride)
+    with recorded_rulebooks() as seen:
+        transposed_strided_conv(coarse, grid, make_kernel(stride, 3, 2, rng), stride)
+    parent = coarse.lookup(uniq)
+    up_rules = [(fine, parent[cell]) for cell, fine in rules]
+    np.testing.assert_array_equal(seen[0].table,
+                                  rules_table(up_rules, grid.n_cells, coarse.n_cells))
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_conv_kinds_agree_dense_and_per_tap(dtype, tol, with_bias, monkeypatch):
+    """Each of the three convolutions, run densely and per tap: same outputs
+    and gradients of the features, weights and bias."""
+    rng = np.random.default_rng(24)
+    grid = random_grid(rng, SPEC, 40, 3)
+    grid = grid.with_features(Tensor(grid.features.data.astype(dtype), requires_grad=True))
+    conv3, down, up = (make_kernel(ext, i, o, rng, with_bias, dtype)
+                       for ext, i, o in (((3, 3, 3), 3, 3), ((3, 3, 2), 3, 4),
+                                         ((3, 3, 2), 4, 3)))
+    coarse = strided_conv(grid, down, (3, 3, 2))
+    coarse = coarse.with_features(Tensor(coarse.features.data, requires_grad=True))
+    convs = [(lambda: sparse_conv(grid, conv3), grid.features, conv3),
+             (lambda: strided_conv(grid, down, (3, 3, 2)), grid.features, down),
+             (lambda: transposed_strided_conv(coarse, grid, up, (3, 3, 2)), coarse.features, up)]
+    for conv, x, kernel in convs:
+        runs = []
+        for limit in (0, 2 ** 62):
+            monkeypatch.setattr(helix.autodiff, "CONV_GATHER_LIMIT", limit)
+            params = [x] + [p for _, p in kernel.parameters()]
+            for p in params:
+                p.zero_grad()
+            out = conv().features
+            (out * out).sum().backward()
+            runs.append([out.data] + [p.grad for p in params])
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
 
 
 def test_each_conv_adds_one_autodiff_node(monkeypatch):

@@ -33,8 +33,11 @@ def test_tracer_records_attention_and_conv_spans():
     finally:
         tracer.restore()
     spans = tracer.totals()
-    for name in ("attention.forward", "attention.mask", "sparseconv.conv"):
+    for name in ("attention.forward", "attention.mask", "sparseconv.conv", "sparseconv.strided"):
         assert spans.get(name, {}).get("calls", 0) >= 1, name
+    # one slice: eight submanifold convs, two strided and two transposed strided
+    assert spans["sparseconv.conv"]["calls"] == 8
+    assert spans["sparseconv.strided"]["calls"] == 4
     assert tracer.counts["attention.pairs"] > 0 and tracer.counts["autodiff.nodes"] > 0
     assert (helix.model.transformer_forward, helix.attention.mask_pairs,
             Tensor._node) == originals
