@@ -180,15 +180,16 @@ def cmd_eval_online(args, file_cfg):
     model = load_checkpoint(_effective(args, file_cfg, "checkpoint", "toy.ckpt"))
     packets = _read_packets(_effective(args, file_cfg, "dataset"))
     slice_deg = float(_effective(args, file_cfg, "slice_deg", 72.0, float))
-    clock = _effective(args, file_cfg, "clock", "sim")
     out = _effective(args, file_cfg, "out", None)
-    cfg = EvalConfig(dtheta=_slice_rad(slice_deg), clock=clock,
+    cfg = EvalConfig(dtheta=_slice_rad(slice_deg),
                      skip_rotations=int(_effective(args, file_cfg, "skip_rotations", 0, int)))
     conf, report = eval_online(model, packets, cfg)
     row = report.row()
     verdict = "real-time" if report.real_time else "NOT real-time"
     print(f"mIoU {conf.miou():.4f} | window {row['acquisition_ms']:.1f} ms | "
-          f"inference mean {row['inference_mean_ms']:.1f} ms | "
+          f"inference mean {row['inference_mean_ms']:.1f} / p50 "
+          f"{row['inference_p50_ms']:.1f} / p95 {row['inference_p95_ms']:.1f} ms | "
+          f"max queue {row['max_queue']} | "
           f"total latency {row['total_latency_ms']:.1f} ms | {verdict}")
     for cls, iou in conf.per_class().items():
         print(f"  class {cls}: IoU {iou:.4f}")
@@ -204,9 +205,8 @@ def cmd_bench_latency(args, file_cfg):
     packets = _read_packets(_effective(args, file_cfg, "dataset"))
     degs = [float(d) for d in
             str(_effective(args, file_cfg, "slice_degs", "360,180,120,72,36")).split(",")]
-    clock = _effective(args, file_cfg, "clock", "wall")
     out = _effective(args, file_cfg, "out", "bench.csv")
-    cfg = EvalConfig(dtheta=_slice_rad(degs[0]), clock=clock)
+    cfg = EvalConfig(dtheta=_slice_rad(degs[0]))
     reports = bench_latency(model, packets, cfg, [_slice_rad(d) for d in degs])
     Path(out).write_text(reports_to_csv(reports))
     for rep in reports:
@@ -290,14 +290,12 @@ def build_parser():
     p = sub.add_parser("eval-online", help="online evaluation with latency verdict")
     common(p)
     p.add_argument("--slice-deg", type=float, dest="slice_deg")
-    p.add_argument("--clock", choices=["sim", "wall"])
     p.add_argument("--skip-rotations", type=int, dest="skip_rotations")
     p.set_defaults(func=cmd_eval_online)
 
     p = sub.add_parser("bench-latency", help="latency sweep over slice sizes")
     common(p)
     p.add_argument("--slice-degs", dest="slice_degs")
-    p.add_argument("--clock", choices=["sim", "wall"])
     p.set_defaults(func=cmd_bench_latency)
 
     p = sub.add_parser("pos-enc-stats", help="head/bin compatibility table")

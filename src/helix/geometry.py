@@ -273,10 +273,3 @@ def voxelize(points: PointCloud, features: Tensor, spec: GridSpec,
         sensor_position=sensor_position,
     )
 
-
-def empty_grid(spec: GridSpec, channels, dtype=np.float64, slice_seq=0) -> SparseCylGrid:
-    return SparseCylGrid(spec, np.zeros((0, 3), dtype=np.int64),
-                         np.zeros(0, dtype=np.int64),
-                         Tensor(np.zeros((0, channels), dtype=dtype)),
-                         np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=np.int64),
-                         slice_seq, np.zeros(3))

@@ -2,22 +2,27 @@
 
 Slices are consumed strictly in release order through a forward-only packet
 cursor, so the loop provably never touches data released after the slice it
-is working on.  Two clock modes:
+is working on.  One replay clock serves every run:
 
-* ``sim`` replays the sensor schedule deterministically: the clock jumps to
-  each slice's last-point release time, a model (or test double) may advance
-  it explicitly, and the per-slice inference time is the span from release to
-  segmentation, queueing included.  Results are bit-reproducible.
-* ``wall`` measures real compute time around the model call and around slice
-  assembly (reported separately as preprocessing), with no schedule replay.
+* A slice is released when its last point is (``Slice.t_last``).  It starts
+  at ``max(release, previous slice's finish)``: compute slower than the
+  sensor builds a queue, and the waiting counts against latency.
+* Its duration, measured by a zero-argument timer, covers pulling the slice
+  from the packet stream (assembly, also reported as ``preprocess``) and
+  ``segment_points``.  Its latency is ``finish - release``.
+* The report gives the mean, p50, p95 and max latency, and ``max_queue``: the
+  largest number of later slices already released when a slice starts.
 
-The real-time verdict compares mean inference time against the slice
-acquisition window (``rotation_period * dtheta / 2pi``): processing slower
-than acquisition falls behind the sensor.
+The timer defaults to ``time.perf_counter``; a test passes a fake counter its
+model double advances, and only then is a run bit-reproducible.  The
+real-time verdict compares mean latency against the slice acquisition window
+(``rotation_period * dtheta / 2pi``): processing slower than acquisition
+falls behind the sensor.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
@@ -31,39 +36,15 @@ from .metrics import ConfusionMatrix
 DEFAULT_ROTATION_PERIOD = 0.104
 
 
-class WallClock:
-    def now(self):
-        return time.perf_counter()
-
-
-class SimulatedClock:
-    """Deterministic clock; only explicit advances move it."""
-
-    def __init__(self, start=0.0):
-        self.t = float(start)
-
-    def now(self):
-        return self.t
-
-    def advance(self, dt):
-        self.t += float(dt)
-
-    def wait_until(self, t):
-        self.t = max(self.t, float(t))
-
-
 @dataclass
 class EvalConfig:
     dtheta: float = TWO_PI / 5
     rotation_period: float = DEFAULT_ROTATION_PERIOD
-    clock: str = "sim"              # "sim" | "wall"
     skip_rotations: int = 0         # warm-up rotations excluded from metrics
 
     def __post_init__(self):
         if not (0.0 < self.dtheta <= TWO_PI + 1e-12):
             raise ValueError("dtheta must lie in ]0, 2*pi]")
-        if self.clock not in ("sim", "wall"):
-            raise ValueError("clock must be 'sim' or 'wall'")
 
     @property
     def acquisition_window(self):
@@ -74,8 +55,9 @@ class EvalConfig:
 class LatencyReport:
     dtheta: float
     acquisition_window: float          # seconds per slice, nominal
-    inference: list = field(default_factory=list)    # per-slice seconds
-    preprocess: list = field(default_factory=list)   # per-slice seconds (wall mode)
+    inference: list = field(default_factory=list)    # per-slice finish - release, s
+    preprocess: list = field(default_factory=list)   # per-slice assembly seconds
+    max_queue: int = 0     # most later slices already released when one starts
     miou: float = float("nan")
 
     @property
@@ -93,6 +75,9 @@ class LatencyReport:
     @property
     def std_inference(self):
         return float(np.std(self.inference)) if self.inference else 0.0
+
+    def inference_percentile(self, q):
+        return float(np.percentile(self.inference, q)) if self.inference else 0.0
 
     @property
     def mean_preprocess(self):
@@ -115,6 +100,9 @@ class LatencyReport:
             "total_latency_ms": float(1e3 * total_latency(self)),
             "miou": float(self.miou),
             "real_time": self.real_time,
+            "inference_p50_ms": float(1e3 * self.inference_percentile(50)),
+            "inference_p95_ms": float(1e3 * self.inference_percentile(95)),
+            "max_queue": self.max_queue,
         }
 
 
@@ -151,53 +139,46 @@ def iter_slices_from_packets(stream: SequentialPacketStream, dtheta):
         yield assemble_slice(concat_points(pending), current_k, dtheta)
 
 
-def eval_online(model, packets, cfg: EvalConfig, clock=None):
+def eval_online(model, packets, cfg: EvalConfig, timer=time.perf_counter):
     """Run the online protocol; returns (ConfusionMatrix, LatencyReport).
 
     ``model`` needs ``new_buffer()``, ``segment_points(slice, buffer)`` and
-    ``cfg.n_classes``.  Pass a shared :class:`SimulatedClock` to inject
-    deterministic inference times from a test double.
+    ``cfg.n_classes``.  ``timer`` is a zero-argument counter in seconds; a
+    test passes one its model double advances to inject exact durations.
     """
-    if clock is None:
-        clock = SimulatedClock() if cfg.clock == "sim" else WallClock()
-    sim = isinstance(clock, SimulatedClock)
     stream = SequentialPacketStream(packets)
     buffer = model.new_buffer()
     conf = ConfusionMatrix(model.cfg.n_classes)
     report = LatencyReport(cfg.dtheta, cfg.acquisition_window)
-
-    prep_start = clock.now() if not sim else None
+    releases, starts = [], []
+    finish = float("-inf")
+    t0 = timer()
     for slc in iter_slices_from_packets(stream, cfg.dtheta):
-        t_ready = slc.t_last
-        if sim:
-            clock.wait_until(t_ready)
-            preds, _ = model.segment_points(slc, buffer)
-            report.inference.append(clock.now() - t_ready)
-            report.preprocess.append(0.0)
-        else:
-            t0 = clock.now()
-            report.preprocess.append(t0 - prep_start)
-            preds, _ = model.segment_points(slc, buffer)
-            report.inference.append(clock.now() - t0)
+        t_assembled = timer()
+        preds, _ = model.segment_points(slc, buffer)
+        start = max(slc.t_last, finish)
+        finish = start + (timer() - t0)
+        releases.append(slc.t_last)
+        starts.append(start)
+        report.inference.append(finish - slc.t_last)
+        report.preprocess.append(t_assembled - t0)
         if slc.rotation_index >= cfg.skip_rotations:
             conf.update(slc.points.label, preds)
-        prep_start = clock.now() if not sim else None
+        t0 = timer()
+    # releases are in stream order, so the slices released by a start form a prefix
+    queued = np.searchsorted(releases, starts, side="right") - np.arange(1, len(starts) + 1)
+    report.max_queue = int(queued.max(initial=0))
     report.miou = conf.miou()
     return conf, report
 
 
 def bench_latency(model, packets, cfg: EvalConfig, dthetas):
     """One eval_online per slice size; rows suit the latency-vs-slice plot."""
-    if not len(list(dthetas)):
+    dthetas = list(dthetas)
+    if not dthetas:
         raise ValueError("sweep must contain at least one slice size")
-    reports = []
-    for dt in dthetas:
-        import dataclasses
-
-        sub = dataclasses.replace(cfg, dtheta=float(dt))
-        _, rep = eval_online(model, packets, sub)
-        reports.append(rep)
-    return reports
+    return [eval_online(model, packets, dataclasses.replace(cfg, dtheta=float(dt)))[1]
+            for dt in dthetas]
 
 
 def reports_to_csv(reports):

@@ -61,25 +61,3 @@ def predict_labels(scores):
     scores = np.asarray(scores)
     return 1 + np.argmax(scores[:, 1:], axis=1)
 
-
-def brute_force_iou(true_labels, pred_labels, n_classes):
-    """Set-based IoU oracle: |pred AND gt| / |pred OR gt| per class."""
-    t = np.asarray(true_labels)
-    p = np.asarray(pred_labels)
-    keep = t != 0
-    t, p = t[keep], p[keep]
-    out = {}
-    for c in range(1, n_classes + 1):
-        gt = set(np.nonzero(t == c)[0].tolist())
-        pr = set(np.nonzero(p == c)[0].tolist())
-        if not gt and not pr:
-            continue
-        out[c] = len(gt & pr) / len(gt | pr)
-    return out
-
-
-def brute_force_miou(true_labels, pred_labels, n_classes):
-    t = np.asarray(true_labels)
-    per = brute_force_iou(true_labels, pred_labels, n_classes)
-    vals = [v for c, v in per.items() if np.any(t[t != 0] == c)]
-    return float(np.mean(vals)) if vals else float("nan")

@@ -34,7 +34,7 @@ from helix.autodiff import (
     softmax,
 )
 from helix.geometry import GridSpec, slice_stream
-from helix.harness import EvalConfig, LatencyReport, SimulatedClock, eval_online, total_latency
+from helix.harness import EvalConfig, LatencyReport, eval_online, total_latency
 from helix.ingest import (
     SynthConfig,
     fiber_azimuth_offsets,
@@ -46,7 +46,7 @@ from helix.ingest import (
     load_helixnet_sequence,
 )
 from helix.losses import segmentation_loss
-from helix.metrics import ConfusionMatrix, brute_force_miou
+from helix.metrics import ConfusionMatrix
 from helix.model import ModelConfig, SegmentationModel
 from helix.sparseconv import UNetConfig, make_kernel, sparse_conv
 from helix.training import (
@@ -58,6 +58,7 @@ from helix.training import (
 )
 
 from attnref import dense_block_reference, dense_transformer_reference
+from oracles import FakeClock, brute_force_miou
 from test_sparseconv import build_grid, dense_conv_oracle, random_grid
 
 
@@ -314,13 +315,13 @@ def test_criterion_6_latency_arithmetic():
         def segment_points(self, slc, buffer):
             return np.ones(len(slc.points), dtype=np.int64), None
 
-    clock = SimulatedClock()
-    _, rep_full = eval_online(Instant(), packets, EvalConfig(dtheta=2 * np.pi), clock=clock)
+    clock = FakeClock()
+    _, rep_full = eval_online(Instant(), packets, EvalConfig(dtheta=2 * np.pi), timer=clock.now)
     assert rep_full.acquisition_window == pytest.approx(0.104, abs=1e-12)
     assert len(rep_full.inference) == 10
 
     _, rep_fifth = eval_online(Instant(), packets, EvalConfig(dtheta=2 * np.pi / 5),
-                               clock=SimulatedClock())
+                               timer=FakeClock().now)
     assert rep_fifth.acquisition_window == pytest.approx(0.0208, abs=1e-12)
 
     paper_fast = LatencyReport(2 * np.pi / 5, 0.021, inference=[0.019])

@@ -43,19 +43,27 @@ def test_segment_writes_labels(tmp_path, scene_file, ckpt_file):
 def test_eval_online_outputs(tmp_path, scene_file, ckpt_file, capsys):
     out = tmp_path / "report"
     assert main(["eval-online", "--dataset", str(scene_file), "--checkpoint",
-                 str(ckpt_file), "--slice-deg", "360", "--clock", "sim",
+                 str(ckpt_file), "--slice-deg", "360",
                  "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "mIoU" in printed and ("real-time" in printed or "NOT real-time" in printed)
+    assert "p95" in printed and "max queue" in printed
     csv = (tmp_path / "report.csv").read_text()
     assert csv.splitlines()[0].startswith("slice_pct")
     assert (tmp_path / "report.jsonl").read_text().strip()
 
 
+def test_clock_flag_is_gone(scene_file, ckpt_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-online", "--dataset", str(scene_file), "--checkpoint",
+              str(ckpt_file), "--clock", "sim"])
+    assert exc.value.code == 2  # argparse usage error
+
+
 def test_bench_latency_rows(tmp_path, scene_file, ckpt_file):
     out = tmp_path / "bench.csv"
     assert main(["bench-latency", "--dataset", str(scene_file), "--checkpoint",
-                 str(ckpt_file), "--slice-degs", "360,120", "--clock", "sim",
+                 str(ckpt_file), "--slice-degs", "360,120",
                  "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 3
 

@@ -2,12 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import FakeClock
 from toyfix import toy_model
 
 from helix.harness import (
     EvalConfig,
     LatencyReport,
-    SimulatedClock,
     bench_latency,
     eval_online,
     iter_slices_from_packets,
@@ -34,7 +34,7 @@ def packets():
 
 
 class FakeModel:
-    """Constant-latency test double; advances a simulated clock per slice."""
+    """Constant-duration test double; advances a fake clock per slice."""
 
     def __init__(self, clock, delay, n_classes=4):
         self.clock = clock
@@ -87,30 +87,28 @@ def test_stream_rejects_rewind(packets):
 # -- latency accounting ----------------------------------------------------------
 
 
+def run_fake(packets, dtheta, delay):
+    clock = FakeClock()
+    return eval_online(FakeModel(clock, delay), packets, EvalConfig(dtheta=dtheta),
+                       timer=clock.now)
+
+
 def test_full_turn_window_is_104ms(packets):
-    clock = SimulatedClock()
-    model = FakeModel(clock, delay=0.0)
-    _, rep = eval_online(model, packets, EvalConfig(dtheta=2 * np.pi), clock=clock)
+    _, rep = run_fake(packets, 2 * np.pi, delay=0.0)
     assert rep.acquisition_window == pytest.approx(0.104, abs=1e-12)
     assert len(rep.inference) == 2  # one slice per rotation
 
 
 def test_fifth_turn_window_is_20p8ms(packets):
-    clock = SimulatedClock()
-    model = FakeModel(clock, delay=0.0)
-    _, rep = eval_online(model, packets, EvalConfig(dtheta=2 * np.pi / 5), clock=clock)
+    _, rep = run_fake(packets, 2 * np.pi / 5, delay=0.0)
     assert rep.acquisition_window == pytest.approx(0.0208, abs=1e-12)
 
 
 def test_fake_model_verdicts(packets):
-    clock = SimulatedClock()
-    model = FakeModel(clock, delay=0.030)
-    _, rep_5 = eval_online(model, packets, EvalConfig(dtheta=2 * np.pi / 5), clock=clock)
+    _, rep_5 = run_fake(packets, 2 * np.pi / 5, delay=0.030)
     assert rep_5.real_time is False
 
-    clock2 = SimulatedClock()
-    model2 = FakeModel(clock2, delay=0.030)
-    _, rep_1 = eval_online(model2, packets, EvalConfig(dtheta=2 * np.pi), clock=clock2)
+    _, rep_1 = run_fake(packets, 2 * np.pi, delay=0.030)
     assert rep_1.real_time is True
     assert rep_1.mean_inference == pytest.approx(0.030, abs=1e-12)
 
@@ -126,11 +124,32 @@ def test_total_latency_paper_pairs():
 
 def test_queueing_counts_against_latency(packets):
     # 30 ms of compute per 20.8 ms slice: release-to-segmentation grows
-    clock = SimulatedClock()
-    model = FakeModel(clock, delay=0.030)
-    _, rep = eval_online(model, packets, EvalConfig(dtheta=2 * np.pi / 5), clock=clock)
+    _, rep = run_fake(packets, 2 * np.pi / 5, delay=0.030)
     assert rep.inference[-1] > rep.inference[0]
     assert rep.mean_inference > 0.030
+
+
+def test_replay_arithmetic(packets):
+    # each slice starts at max(its release, previous finish) and takes 30 ms
+    dtheta = 2 * np.pi / 5
+    releases = [s.t_last for s in
+                iter_slices_from_packets(SequentialPacketStream(packets), dtheta)]
+    _, rep = run_fake(packets, dtheta, delay=0.030)
+    assert len(rep.inference) == len(releases)
+    finish = float("-inf")
+    expected = []
+    for release in releases:
+        finish = max(release, finish) + 0.030
+        expected.append(finish - release)
+    np.testing.assert_allclose(rep.inference, expected, rtol=0, atol=1e-12)
+    assert rep.max_queue >= 1
+    row = rep.row()
+    assert row["inference_p50_ms"] == pytest.approx(1e3 * np.percentile(expected, 50))
+    assert row["inference_p95_ms"] == pytest.approx(1e3 * np.percentile(expected, 95))
+    assert row["max_queue"] == rep.max_queue
+
+    _, rep_full = run_fake(packets, 2 * np.pi, delay=0.030)
+    assert rep_full.max_queue == 0
 
 
 # -- end-to-end with the real model ----------------------------------------------
@@ -141,21 +160,42 @@ def model():
     return toy_model(seed=3)
 
 
+class Timed:
+    """Wraps a real model; each slice costs 20 us per point on a fake clock."""
+
+    def __init__(self, model, clock):
+        self.model, self.clock, self.cfg = model, clock, model.cfg
+
+    def new_buffer(self):
+        return self.model.new_buffer()
+
+    def segment_points(self, slc, buffer):
+        self.clock.advance(2e-5 * len(slc.points))
+        return self.model.segment_points(slc, buffer)
+
+
+def run_injected(model, packets, cfg):
+    clock = FakeClock()
+    return eval_online(Timed(model, clock), packets, cfg, timer=clock.now)
+
+
 def test_sim_eval_reproducible(packets, model):
     cfg = EvalConfig(dtheta=2 * np.pi / 3)
-    conf_a, rep_a = eval_online(model, packets, cfg)
-    conf_b, rep_b = eval_online(model, packets, cfg)
+    conf_a, rep_a = run_injected(model, packets, cfg)
+    conf_b, rep_b = run_injected(model, packets, cfg)
     np.testing.assert_array_equal(conf_a.counts, conf_b.counts)
     assert rep_a.inference == rep_b.inference
+    assert rep_a.max_queue == rep_b.max_queue
 
 
 def test_clock_mode_does_not_change_confusion(packets, model):
-    conf_sim, _ = eval_online(model, packets, EvalConfig(dtheta=2 * np.pi / 3, clock="sim"))
-    conf_wall, rep_wall = eval_online(model, packets,
-                                      EvalConfig(dtheta=2 * np.pi / 3, clock="wall"))
-    np.testing.assert_array_equal(conf_sim.counts, conf_wall.counts)
-    assert rep_wall.mean_inference > 0.0
-    assert rep_wall.mean_preprocess > 0.0
+    cfg = EvalConfig(dtheta=2 * np.pi / 3)
+    conf_injected, _ = run_injected(model, packets, cfg)
+    conf_measured, rep_measured = eval_online(model, packets, cfg)
+    np.testing.assert_array_equal(conf_injected.counts, conf_measured.counts)
+    # the default timer measures real work: no slice is free
+    assert all(t > 0.0 for t in rep_measured.inference)
+    assert all(t > 0.0 for t in rep_measured.preprocess)
 
 
 def test_bench_sweep(packets, model):
@@ -171,6 +211,15 @@ def test_bench_sweep(packets, model):
     assert "slice_pct" in csv.splitlines()[0]
 
 
+def test_bench_sweep_accepts_generator(packets):
+    sweep = [2 * np.pi, 2 * np.pi / 5, 2 * np.pi / 10]
+    reports = bench_latency(FakeModel(FakeClock(), 0.0), packets, EvalConfig(),
+                            (d for d in sweep))
+    assert [r.dtheta for r in reports] == sweep
+    with pytest.raises(ValueError):
+        bench_latency(None, packets, EvalConfig(), iter(()))
+
+
 def test_skip_rotations_excludes_warmup(packets, model):
     conf_all, _ = eval_online(model, packets, EvalConfig(dtheta=2 * np.pi))
     conf_skip, _ = eval_online(model, packets,
@@ -181,5 +230,3 @@ def test_skip_rotations_excludes_warmup(packets, model):
 def test_bad_eval_config():
     with pytest.raises(ValueError):
         EvalConfig(dtheta=0.0)
-    with pytest.raises(ValueError):
-        EvalConfig(clock="gps")
