@@ -1,19 +1,20 @@
 """Spatio-temporal attention over coarse voxels, with causal key/value buffering.
 
-Each coarse voxel token carries its absolute center, the release time of its
-first point and its rotation index.  A token attends the tokens of the current
-and selected past rotations that lie within a metric radius; compatibilities
-use the token's key both as key and as query plus a binned relative positional
-encoding, per head.  Blocks keep no feed-forward or normalization stages: the
-learnable state is the per-head linear layers and the positional tables.
+Each coarse voxel token carries its absolute center and its rotation index.
+A token attends the tokens of the current and selected past rotations that lie
+within a metric radius; compatibilities use the token's key both as key and as
+query plus a binned relative positional encoding, per head.  Blocks keep no
+feed-forward or normalization stages: the learnable state is one key/value
+projection, an optional query projection and one positional table per block.
 
-A block runs all heads at once.  The per-head layers are assembled side by
-side into one key/value projection, and one
-:func:`~helix.autodiff.pair_attention` op computes every head's scores,
-softmax and value sums as batched GEMMs over the slice's tokens x candidates.
-The mask and the positional bins are geometric, computed once per slice and
-shared by all blocks and heads.  The dense oracles for this path live with
-the tests.
+A block runs all heads at once.  Its parameters are stored in the layout the
+fused op reads: the key/value projection's output columns hold each head's key
+then value, side by side, and the positional table stacks each head's X, Y, Z
+and T rows.  One :func:`~helix.autodiff.pair_attention` op computes every
+head's scores, softmax and value sums as batched GEMMs over the slice's tokens
+x candidates.  The mask and the positional bins are geometric, computed once
+per slice and shared by all blocks and heads.  The dense oracles for this path
+live with the tests.
 
 Streaming works slice by slice: the keys, values and positions of every
 processed slice stay buffered for ``max(offsets)`` rotations, so a new slice
@@ -37,7 +38,6 @@ from .autodiff import (
     Tensor,
     add,
     concat,
-    linear,
     no_grad,
     pair_attention,
     take_cols,
@@ -56,7 +56,6 @@ class AttnConfig:
     rho_x: float = 1.5
     rho_y: float = 1.5
     rho_z: float = 0.5
-    rho_t: float = 0.52          # 5 rotations x 104 ms; kept on record for stats
     alpha: float = 2.0
     beta: int = 3
     gamma: float = 1.25
@@ -135,7 +134,6 @@ class VoxelTokens:
 
     features: Tensor        # (n, dim)
     centers: np.ndarray     # (n, 3) absolute
-    t: np.ndarray           # (n,) release time of first point
     rotation: np.ndarray    # (n,) rotation index
     slice_seq: np.ndarray   # (n,) global slice counter
 
@@ -145,43 +143,38 @@ class VoxelTokens:
 
 def tokens_from_grid(grid: SparseCylGrid) -> VoxelTokens:
     n = grid.n_cells
-    return VoxelTokens(grid.features, grid.centers, grid.t_first, grid.rotation,
+    return VoxelTokens(grid.features, grid.centers, grid.rotation,
                        np.full(n, grid.slice_seq, dtype=np.int64))
 
 
 class BlockParams:
-    """Per-head joint key/value projection plus positional tables for one block."""
+    """One block's parameters, all heads side by side.
+
+    * ``kv``: (dim -> heads * (key_dim + head_dim)); head h's columns hold its
+      key, then its value.
+    * ``query``: (dim -> heads * key_dim), only with separate queries.
+    * ``pos_table``: (heads * (3 * bins_spatial + bins_temporal), key_dim);
+      head h's rows stack its X, Y and Z tables (``bins_spatial`` rows each)
+      and its T table (``bins_temporal`` rows).
+    """
 
     POS_INIT = 0.2  # keys are O(1); tables must register in compatibilities early
 
     def __init__(self, cfg: AttnConfig, rng, dtype=np.float64):
         K, Dh = cfg.key_dim, cfg.head_dim
-        self.kv = [Linear(cfg.dim, K + Dh, rng=rng, dtype=dtype) for _ in range(cfg.heads)]
-        self.query = ([Linear(cfg.dim, K, rng=rng, dtype=dtype) for _ in range(cfg.heads)]
+        self.kv = Linear(cfg.dim, K + Dh, rng=rng, dtype=dtype, heads=cfg.heads)
+        self.query = (Linear(cfg.dim, K, rng=rng, dtype=dtype, heads=cfg.heads)
                       if cfg.with_queries else None)
-        self.pos = []
-        for _ in range(cfg.heads):
-            tables = {
-                "X": Tensor(rng.standard_normal((cfg.bins_spatial, K)) * self.POS_INIT,
-                            requires_grad=True, dtype=dtype),
-                "Y": Tensor(rng.standard_normal((cfg.bins_spatial, K)) * self.POS_INIT,
-                            requires_grad=True, dtype=dtype),
-                "Z": Tensor(rng.standard_normal((cfg.bins_spatial, K)) * self.POS_INIT,
-                            requires_grad=True, dtype=dtype),
-                "T": Tensor(rng.standard_normal((cfg.bins_temporal, K)) * self.POS_INIT,
-                            requires_grad=True, dtype=dtype),
-            }
-            self.pos.append(tables)
+        # one draw of all rows equals drawing each head's X, Y, Z and T in turn
+        rows = cfg.heads * (3 * cfg.bins_spatial + cfg.bins_temporal)
+        self.pos_table = Tensor(rng.standard_normal((rows, K)) * self.POS_INIT,
+                                requires_grad=True, dtype=dtype)
 
     def parameters(self, prefix=""):
-        for h, layer in enumerate(self.kv):
-            yield from layer.parameters(f"{prefix}h{h}.kv.")
+        yield from self.kv.parameters(f"{prefix}kv.")
         if self.query is not None:
-            for h, layer in enumerate(self.query):
-                yield from layer.parameters(f"{prefix}h{h}.query.")
-        for h, tables in enumerate(self.pos):
-            for d, tensor in tables.items():
-                yield f"{prefix}h{h}.pos_{d.lower()}", tensor
+            yield from self.query.parameters(f"{prefix}query.")
+        yield f"{prefix}pos_table", self.pos_table
 
 
 class TransformerParams:
@@ -195,14 +188,13 @@ class TransformerParams:
             yield from block.parameters(f"{prefix}b{w}.")
 
 
-@dataclass
+@dataclass(eq=False)
 class BufferEntry:
-    """Keys/values of one processed slice, for every block (all heads side by side)."""
+    """Keys/values of one processed slice, for every block (all heads side by
+    side).  Entries compare by identity."""
 
-    slice_seq: int
     rotation: np.ndarray
     centers: np.ndarray
-    t: np.ndarray
     keys: list     # [block] Tensor (n, heads * key_dim), the heads side by side
     values: list   # [block] Tensor (n, heads * head_dim)
     rotations: frozenset = field(init=False)  # the distinct rotation indices held
@@ -233,9 +225,6 @@ class KVBuffer:
         """The entries holding any of ``rotations``, oldest first."""
         wanted = set(rotations)
         return [e for e in self.entries if not e.rotations.isdisjoint(wanted)]
-
-    def clear(self):
-        self.entries = []
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +314,11 @@ def _slice_geometry(tokens: VoxelTokens, past_entries, cfg: AttnConfig):
 # ---------------------------------------------------------------------------
 
 
-def _side_by_side(layers):
-    """Weight and bias of one linear layer computing all heads' ``layers``,
-    their output columns side by side."""
-    return (concat([layer.weight for layer in layers], axis=1),
-            concat([layer.bias for layer in layers], axis=0))
-
-
 def _keys_values(features, params: BlockParams, cfg: AttnConfig):
     """All heads' keys (n, heads * key_dim) and values (n, heads * head_dim)
-    from one projection; each head's layer yields its key, then its value."""
+    from the one projection; each head's columns hold its key, then its value."""
     K, Dh = cfg.key_dim, cfg.head_dim
-    kv = linear(features, *_side_by_side(params.kv))
+    kv = params.kv(features)
     first = np.arange(cfg.heads)[:, None] * (K + Dh)
     return (take_cols(kv, (first + np.arange(K)).ravel()),
             take_cols(kv, (first + K + np.arange(Dh)).ravel()))
@@ -355,8 +337,7 @@ def block_forward(tokens: VoxelTokens, past: BufferEntry | list | None,
     a pure residual pass-through.
     """
     keys, values = _keys_values(tokens.features, params, cfg)
-    queries = (linear(tokens.features, *_side_by_side(params.query))
-               if cfg.with_queries else keys)
+    queries = params.query(tokens.features) if cfg.with_queries else keys
 
     past_entries = [] if past is None else (past if isinstance(past, list) else [past])
     if cfg.slice_by_slice:
@@ -366,13 +347,12 @@ def block_forward(tokens: VoxelTokens, past: BufferEntry | list | None,
         pairs, bins = _slice_geometry(tokens, past_entries, cfg)
     cand_keys = concat([e.keys[block_index] for e in past_entries] + [keys], axis=0)
     cand_values = concat([e.values[block_index] for e in past_entries] + [values], axis=0)
-    tables = (None if cfg.without_posenc else
-              concat([tables[d] for tables in params.pos for d in "XYZT"], axis=0))
+    tables = None if cfg.without_posenc else params.pos_table
     attended = pair_attention(queries, cand_keys, cand_values, tables, pairs, bins,
                               cfg.heads, 1.0 / np.sqrt(cfg.key_dim))
 
-    out = VoxelTokens(add(tokens.features, attended), tokens.centers, tokens.t,
-                      tokens.rotation, tokens.slice_seq)
+    out = VoxelTokens(add(tokens.features, attended), tokens.centers, tokens.rotation,
+                      tokens.slice_seq)
     return out, (keys, values)
 
 
@@ -405,10 +385,8 @@ def transformer_forward(grid3: SparseCylGrid, buffer: KVBuffer,
 
     if cfg.blocks > 0:
         buffer.append(BufferEntry(
-            slice_seq=int(tokens.slice_seq[0]) if len(tokens) else grid3.slice_seq,
             rotation=tokens.rotation.copy(),
             centers=tokens.centers.copy(),
-            t=tokens.t.copy(),
             keys=all_keys,
             values=all_values,
         ))
@@ -432,8 +410,7 @@ def head_compat_stats(token_sets, params: TransformerParams, cfg: AttnConfig):
     rotation = np.concatenate([ts.rotation for ts in token_sets])
     slice_seq = np.concatenate([ts.slice_seq for ts in token_sets])
     tokens = VoxelTokens(Tensor(np.concatenate([ts.features.data for ts in token_sets])),
-                         centers, np.concatenate([ts.t for ts in token_sets]), rotation,
-                         slice_seq)
+                         centers, rotation, slice_seq)
 
     vi, ui = mask_pairs(centers, rotation, centers, rotation, cfg)
     keep = slice_seq[ui] <= slice_seq[vi]
@@ -452,12 +429,12 @@ def head_compat_stats(token_sets, params: TransformerParams, cfg: AttnConfig):
             next_tokens, (keys, _) = block_forward(
                 tokens, None, w, block, cfg, pairs=(vi[attend], ui[attend]), bins=bins[attend])
         pair_keys = keys.data.reshape(len(tokens), cfg.heads, cfg.key_dim)[vi]
-        for h, tables in enumerate(block.pos):
-            stacked = np.concatenate([tables[d].data for d in "XYZT"])
-            compat = np.einsum("ek,ek->e", pair_keys[:, h], stacked[bins].sum(axis=1))
-            for i, d in enumerate("XYZT"):
-                for bin_value in np.unique(labels[:, i]):
-                    sel = labels[:, i] == bin_value
-                    out[(w, h, d, int(bin_value))] = float(compat[sel].mean())
+        tables = block.pos_table.data.reshape(cfg.heads, -1, cfg.key_dim)
+        # (pairs, heads): each head's key against the sum of its pair's four rows
+        compat = np.einsum("ehk,hek->eh", pair_keys, tables[:, bins].sum(axis=2))
+        for i, d in enumerate("XYZT"):
+            for bin_value in np.unique(labels[:, i]):
+                means = compat[labels[:, i] == bin_value].mean(axis=0)
+                out.update(((w, h, d, int(bin_value)), float(m)) for h, m in enumerate(means))
         tokens = next_tokens
     return out

@@ -833,12 +833,20 @@ def he_init(rng, fan_in, shape, dtype=np.float64):
 
 
 class Linear:
-    """Affine map ``x @ weight + bias``."""
+    """Affine map ``x @ weight + bias``.
 
-    def __init__(self, in_features, out_features, rng=None, bias=True, dtype=np.float64):
+    With ``heads`` > 1 the map is ``heads`` layers of ``out_features`` outputs
+    each, drawn one after another and their output columns side by side.
+    """
+
+    def __init__(self, in_features, out_features, rng=None, bias=True, dtype=np.float64,
+                 heads=1):
         rng = rng or np.random.default_rng(0)
-        self.weight = he_init(rng, in_features, (in_features, out_features), dtype)
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True, dtype=dtype) if bias else None
+        draws = [he_init(rng, in_features, (in_features, out_features), dtype).data
+                 for _ in range(heads)]
+        self.weight = Tensor(np.concatenate(draws, axis=1), requires_grad=True)
+        self.bias = (Tensor(np.zeros(heads * out_features), requires_grad=True, dtype=dtype)
+                     if bias else None)
 
     def __call__(self, x):
         return linear(x, self.weight, self.bias)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Commands: ``segment``, ``eval-online``, ``bench-latency``, ``train-toy``,
-``convert``, ``synth``, ``pos-enc-stats``.  A flat key=value config file can
-set any flag's default; explicit command-line flags win over file values.
+``convert``, ``synth``, ``pos-enc-stats``.  A flat key=value config file sets
+the defaults of the flags a command reads from it (its ``file_keys``); any
+other key is an error.  Explicit command-line flags win over file values.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def build_parser():
     common(p, dataset=False, checkpoint=False)
     p.add_argument("--rotations", type=int)
     p.add_argument("--preset", choices=["toy", "default"], default="toy")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, file_keys=("seed", "rotations", "out"))
 
     p = sub.add_parser("convert", help="convert between stream formats")
     common(p, checkpoint=False)
@@ -267,7 +268,7 @@ def build_parser():
     p.add_argument("--to", required=True,
                    choices=["points", "packets", "frames", "slices", "range"])
     p.add_argument("--slice-deg", type=float, dest="slice_deg")
-    p.set_defaults(func=cmd_convert)
+    p.set_defaults(func=cmd_convert, file_keys=("out", "slice_deg"))
 
     p = sub.add_parser("train-toy", help="train the compact model on a synthetic scene")
     common(p, dataset=False, checkpoint=False)
@@ -280,28 +281,32 @@ def build_parser():
     p.add_argument("--slice-by-slice", action="store_true")
     p.add_argument("--log-every", type=int, default=25)
     p.add_argument("--loss-log")
-    p.set_defaults(func=cmd_train_toy)
+    p.set_defaults(func=cmd_train_toy,
+                   file_keys=("seed", "steps", "rotations", "lr", "out", "slice_deg"))
 
     p = sub.add_parser("segment", help="stream a dataset and write predictions")
     common(p)
     p.add_argument("--slice-deg", type=float, dest="slice_deg")
-    p.set_defaults(func=cmd_segment)
+    p.set_defaults(func=cmd_segment, file_keys=("checkpoint", "dataset", "slice_deg", "out"))
 
     p = sub.add_parser("eval-online", help="online evaluation with latency verdict")
     common(p)
     p.add_argument("--slice-deg", type=float, dest="slice_deg")
     p.add_argument("--skip-rotations", type=int, dest="skip_rotations")
-    p.set_defaults(func=cmd_eval_online)
+    p.set_defaults(func=cmd_eval_online, file_keys=("checkpoint", "dataset", "slice_deg",
+                                                    "out", "skip_rotations"))
 
     p = sub.add_parser("bench-latency", help="latency sweep over slice sizes")
     common(p)
     p.add_argument("--slice-degs", dest="slice_degs")
-    p.set_defaults(func=cmd_bench_latency)
+    p.set_defaults(func=cmd_bench_latency,
+                   file_keys=("checkpoint", "dataset", "slice_degs", "out"))
 
     p = sub.add_parser("pos-enc-stats", help="head/bin compatibility table")
     common(p)
     p.add_argument("--slice-deg", type=float, dest="slice_deg")
-    p.set_defaults(func=cmd_pos_enc_stats)
+    p.set_defaults(func=cmd_pos_enc_stats,
+                   file_keys=("checkpoint", "dataset", "slice_deg", "out"))
     return parser
 
 
@@ -309,6 +314,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     file_cfg = load_config_file(args.config) if args.config else {}
+    unread = [key for key in file_cfg if key not in args.file_keys]
+    if unread:
+        parser.error(f"{args.config}: {args.command} reads no config key {unread[0]!r} "
+                     f"(it reads {', '.join(args.file_keys)})")
     return args.func(args, file_cfg)
 
 

@@ -197,7 +197,6 @@ class SparseCylGrid:
     keys_packed: np.ndarray   # (n,) int64, sorted ascending
     features: Tensor          # (n, channels)
     centers: np.ndarray       # (n, 3) absolute frame
-    t_first: np.ndarray       # (n,) release time of the cell's first point
     rotation: np.ndarray      # (n,) rotation index of the cell's slice
     slice_seq: int = 0
     sensor_position: np.ndarray = None
@@ -225,7 +224,7 @@ class SparseCylGrid:
         if features.data.shape[0] != self.n_cells:
             raise ValueError("feature rows must match cell count")
         return SparseCylGrid(self.spec, self.keys, self.keys_packed, features,
-                             self.centers, self.t_first, self.rotation, self.slice_seq,
+                             self.centers, self.rotation, self.slice_seq,
                              self.sensor_position, self.nbr_cache)
 
 
@@ -245,8 +244,7 @@ def voxelize(points: PointCloud, features: Tensor, spec: GridSpec,
 
     One feature row per point is required; the caller filters no-echo and
     out-of-range points beforehand.  Cell metadata: center in the fixed frame
-    (from the slice's sensor position), release time of the first point, and
-    the slice's rotation index.
+    (from the slice's sensor position) and the slice's rotation index.
     """
     if features.data.shape[0] != len(points):
         raise ValueError("one feature row per point required")
@@ -257,8 +255,6 @@ def voxelize(points: PointCloud, features: Tensor, spec: GridSpec,
     n = uniq.shape[0]
     pooled = segment_maxpool(features, inverse, n)
 
-    t_first = np.full(n, np.inf)
-    np.minimum.at(t_first, inverse, points.t_release)
     keys = np.stack(unpack_keys(uniq), axis=1) if n else np.zeros((0, 3), dtype=np.int64)
     sensor_position = np.asarray(sensor_position, dtype=np.float64)
     return SparseCylGrid(
@@ -267,7 +263,6 @@ def voxelize(points: PointCloud, features: Tensor, spec: GridSpec,
         keys_packed=uniq,
         features=pooled,
         centers=cell_centers(spec, keys, sensor_position),
-        t_first=t_first,
         rotation=np.full(n, rotation_index, dtype=np.int64),
         slice_seq=slice_seq,
         sensor_position=sensor_position,

@@ -14,7 +14,9 @@ Checkpoint format (little-endian): magic ``HELIXCKP``, u32 version, u32 JSON
 length, a JSON blob holding the config and a tensor manifest (name, shape,
 offset in floats), then all tensor data concatenated as float32.  Loading is
 strict: the manifest names each model tensor exactly once, the tensors tile
-the data from offset 0 without gaps, and every value is finite.
+the data from offset 0 without gaps, and every value is finite.  Version 2
+names one tensor per attention-block role, all heads side by side; other
+versions are refused.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .geometry import (
 from .sparseconv import CylUNet, UNetConfig, make_kernel, sparse_conv
 
 CKPT_MAGIC = b"HELIXCKP"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 @dataclass

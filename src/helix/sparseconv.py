@@ -182,16 +182,13 @@ def _make_coarse(grid, stride, uniq, dst, features) -> SparseCylGrid:
 
     spec = grid.spec.coarsen(stride)
     keys = np.stack(unpack_keys(uniq), axis=1) if uniq.size else np.zeros((0, 3), dtype=np.int64)
-    t_first = np.full(uniq.shape[0], np.inf)
-    if uniq.size:
-        np.minimum.at(t_first, dst, grid.t_first)
     rotation = np.zeros(uniq.shape[0], dtype=np.int64)
     if uniq.size:
         rotation[dst] = grid.rotation
     sensor = grid.sensor_position if grid.sensor_position is not None else np.zeros(3)
     return SparseCylGrid(
         spec=spec, keys=keys, keys_packed=uniq, features=features,
-        centers=cell_centers(spec, keys, sensor), t_first=t_first, rotation=rotation,
+        centers=cell_centers(spec, keys, sensor), rotation=rotation,
         slice_seq=grid.slice_seq, sensor_position=sensor,
     )
 

@@ -2,9 +2,7 @@
 
 Training samples are contiguous multi-slice windows; the causal buffer resets
 at window start and gradients flow through it across the window's slices.
-Positional-encoding tables are excluded from weight decay.  The learning rate
-starts at 1e-3 and drops to 1e-4 when validation mIoU plateaus for three
-consecutive epochs.
+Positional-encoding tables are excluded from weight decay.
 """
 
 from __future__ import annotations
@@ -59,26 +57,6 @@ class Adam:
             if self.weight_decay and self.decays(name):
                 p.data *= 1.0 - self.lr * self.weight_decay
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class PlateauSchedule:
-    """Drop the rate to ``floor_lr`` after ``patience`` epochs without mIoU gain."""
-
-    def __init__(self, optimizer: Adam, patience=3, floor_lr=1e-4):
-        self.opt = optimizer
-        self.patience = patience
-        self.floor_lr = floor_lr
-        self.best = -np.inf
-        self.stale = 0
-
-    def report(self, val_miou):
-        if val_miou > self.best + 1e-9:
-            self.best = val_miou
-            self.stale = 0
-        else:
-            self.stale += 1
-            if self.stale >= self.patience:
-                self.opt.lr = self.floor_lr
 
 
 def _window_loss(window, model, warmup_slices):
@@ -172,25 +150,19 @@ def augment_window(window, rng):
 
 
 def train_toy(model: SegmentationModel, windows, steps, lr=1e-3, seed=0,
-              augment=False, lr_drop=None, warmup_slices=0, windows_per_step=1,
-              log_every=0):
-    """Fixed-step toy training over pre-built windows; returns the loss trace.
-
-    ``lr_drop`` is an optional ``(step, new_lr)`` pair for a single cooldown;
-    ``windows_per_step`` batches several windows into each update.
-    """
+              augment=False, warmup_slices=0, log_every=0):
+    """Fixed-step toy training, one randomly picked window per step; returns
+    the loss trace."""
+    if not windows:
+        raise ValueError("no training windows")
     rng = np.random.default_rng(seed)
     opt = Adam(model.parameters(), lr=lr)
     losses = []
     for step in range(steps):
-        if lr_drop is not None and step == lr_drop[0]:
-            opt.lr = lr_drop[1]
-        picks = rng.choice(len(windows), size=min(windows_per_step, len(windows)),
-                           replace=False)
-        batch = [windows[int(i)] for i in picks]
+        window = windows[int(rng.choice(len(windows), size=1, replace=False)[0])]
         if augment:
-            batch = [augment_window(w, rng) for w in batch]
-        losses.append(train_step(batch, model, opt, warmup_slices=warmup_slices))
+            window = augment_window(window, rng)
+        losses.append(train_step(window, model, opt, warmup_slices=warmup_slices))
         if log_every and (step + 1) % log_every == 0:
             print(f"step {step + 1}: loss {losses[-1]:.4f}")
     return losses

@@ -6,6 +6,8 @@
 * :func:`per_head_attention`: the per-head chain of small autodiff ops that
   ``helix.attention.block_forward`` ran before all heads went into one
   :func:`helix.autodiff.pair_attention` call; same signature as that op.
+* :func:`head_columns` / :func:`head_tables`: one head's share of a block's
+  fused parameters, as the per-head references read them.
 """
 
 import numpy as np
@@ -26,7 +28,23 @@ from helix.autodiff import (
 )
 
 
-def dense_block_reference(features, centers, t, rotation, slice_seq, block_index,
+def head_columns(layer, h, heads):
+    """Weight and bias of head ``h``'s output columns of a ``Linear`` holding
+    ``heads`` equal-width layers side by side."""
+    width = layer.weight.shape[1] // heads
+    cols = slice(h * width, (h + 1) * width)
+    return layer.weight.data[:, cols], layer.bias.data[cols]
+
+
+def head_tables(params, h, cfg):
+    """Head ``h``'s X, Y, Z and T positional tables: its rows of the block's
+    stacked table."""
+    S = cfg.bins_spatial
+    rows = params.pos_table.data.reshape(cfg.heads, -1, cfg.key_dim)[h]
+    return dict(zip("XYZT", np.split(rows, [S, 2 * S, 3 * S])))
+
+
+def dense_block_reference(features, centers, rotation, slice_seq, block_index,
                           params, cfg):
     """Dense attention with -inf masking over all tokens at once (numpy only).
 
@@ -43,12 +61,14 @@ def dense_block_reference(features, centers, t, rotation, slice_seq, block_index
 
     heads = []
     for h in range(cfg.heads):
-        W = params.kv[h].weight.data
-        b = params.kv[h].bias.data
+        W, b = head_columns(params.kv, h, cfg.heads)
         kv = features @ W + b
         k, v = kv[:, :K], kv[:, K:]
-        q = (features @ params.query[h].weight.data + params.query[h].bias.data
-             if cfg.with_queries else k)
+        if cfg.with_queries:
+            Wq, bq = head_columns(params.query, h, cfg.heads)
+            q = features @ Wq + bq
+        else:
+            q = k
         scores = q @ k.T
         if not cfg.without_posenc:
             dxyz = centers[None, :, :] - centers[:, None, :]
@@ -57,8 +77,8 @@ def dense_block_reference(features, centers, t, rotation, slice_seq, block_index
             bz = spatial_bin(dxyz[..., 2], cfg.rho_z, cfg.alpha, cfg.beta, cfg.gamma) + cfg.beta
             bt = np.zeros_like(off)
             bt[allowed] = temporal_bin(off[allowed], cfg.offsets)
-            pos = (params.pos[h]["X"].data[bx] + params.pos[h]["Y"].data[by]
-                   + params.pos[h]["Z"].data[bz] + params.pos[h]["T"].data[bt])
+            tables = head_tables(params, h, cfg)
+            pos = tables["X"][bx] + tables["Y"][by] + tables["Z"][bz] + tables["T"][bt]
             scores = scores + np.einsum("vk,vuk->vu", q, pos)
         scores = scores / np.sqrt(K)
         scores = np.where(allowed, scores, -np.inf)
@@ -73,11 +93,11 @@ def dense_block_reference(features, centers, t, rotation, slice_seq, block_index
     return features + np.concatenate(heads, axis=1)
 
 
-def dense_transformer_reference(features, centers, t, rotation, slice_seq, params, cfg):
+def dense_transformer_reference(features, centers, rotation, slice_seq, params, cfg):
     """All blocks of the batch-mode reference."""
     out = features
     for w in range(cfg.blocks):
-        out = dense_block_reference(out, centers, t, rotation, slice_seq, w,
+        out = dense_block_reference(out, centers, rotation, slice_seq, w,
                                     params.blocks[w], cfg)
     return out
 

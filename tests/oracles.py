@@ -41,7 +41,7 @@ def empty_grid(spec: GridSpec, channels, dtype=np.float64, slice_seq=0) -> Spars
     return SparseCylGrid(spec, np.zeros((0, 3), dtype=np.int64),
                          np.zeros(0, dtype=np.int64),
                          Tensor(np.zeros((0, channels), dtype=dtype)),
-                         np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=np.int64),
+                         np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
                          slice_seq, np.zeros(3))
 
 

@@ -107,12 +107,11 @@ def test_criterion_2_attention_oracle():
         tok = VoxelTokens(
             Tensor(rng.standard_normal((n, cfg.dim))),
             rng.uniform(-5, 5, (n, 3)),
-            np.zeros(n),
             rng.integers(0, 3, n).astype(np.int64),
             np.zeros(n, dtype=np.int64),
         )
         out, _ = block_forward(tok, None, 0, params.blocks[0], cfg)
-        ref = dense_block_reference(tok.features.data, tok.centers, tok.t,
+        ref = dense_block_reference(tok.features.data, tok.centers,
                                     tok.rotation, tok.slice_seq, 0, params.blocks[0], cfg)
         worst = max(worst, float(np.max(np.abs(out.features.data - ref))))
     elapsed = time.time() - t0
@@ -148,10 +147,9 @@ def test_criterion_3_streaming_causality():
         streamed.append(out.features.data.copy())
     feats = np.concatenate([t.features.data for t in token_sets])
     centers = np.concatenate([t.centers for t in token_sets])
-    tt = np.concatenate([t.t for t in token_sets])
     rot = np.concatenate([t.rotation for t in token_sets])
     seq = np.concatenate([t.slice_seq for t in token_sets])
-    ref = dense_transformer_reference(feats, centers, tt, rot, seq, model.attn,
+    ref = dense_transformer_reference(feats, centers, rot, seq, model.attn,
                                       model.cfg.attn)
     gap = float(np.max(np.abs(np.concatenate(streamed) - ref)))
     assert gap < 1e-6

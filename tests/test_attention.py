@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import helix.autodiff
 from helix.attention import (
     AttnConfig,
+    BlockParams,
     BufferEntry,
     KVBuffer,
     TransformerParams,
@@ -21,9 +22,15 @@ from helix.attention import (
     tokens_from_grid,
     transformer_forward,
 )
-from helix.autodiff import Tensor, gather_rows, gradcheck, pair_attention
+from helix.autodiff import Linear, Tensor, gather_rows, gradcheck, pair_attention
 
-from attnref import dense_block_reference, dense_transformer_reference, per_head_attention
+from attnref import (
+    dense_block_reference,
+    dense_transformer_reference,
+    head_columns,
+    head_tables,
+    per_head_attention,
+)
 
 
 def micro_cfg(**kw):
@@ -38,8 +45,7 @@ def random_tokens(rng, n, cfg, rotations=(0,), slice_seqs=None, spread=4.0,
     centers = rng.uniform(-spread, spread, size=(n, 3))
     rot = np.asarray(rotations)[rng.integers(0, len(rotations), n)]
     seq = rot if slice_seqs is None else np.asarray(slice_seqs)
-    return VoxelTokens(feats, centers, np.zeros(n), rot.astype(np.int64),
-                       np.asarray(seq, dtype=np.int64))
+    return VoxelTokens(feats, centers, rot.astype(np.int64), np.asarray(seq, dtype=np.int64))
 
 
 # -- bins ---------------------------------------------------------------------
@@ -223,7 +229,7 @@ def test_attention_rows_sum_to_one():
     tok = random_tokens(rng, n, cfg)
     # dense reference exposes the weights implicitly: rows with a mask must
     # reproduce an average, i.e. outputs lie in the convex hull of values
-    out = dense_block_reference(tok.features.data, tok.centers, tok.t, tok.rotation,
+    out = dense_block_reference(tok.features.data, tok.centers, tok.rotation,
                                 tok.slice_seq, 0, params.blocks[0], cfg)
     assert np.all(np.isfinite(out))
 
@@ -237,7 +243,7 @@ def test_sparse_block_matches_dense(flags):
         n = int(rng.integers(2, 50))
         tok = random_tokens(rng, n, cfg)
         out, _ = block_forward(tok, None, 0, params.blocks[0], cfg)
-        ref = dense_block_reference(tok.features.data, tok.centers, tok.t, tok.rotation,
+        ref = dense_block_reference(tok.features.data, tok.centers, tok.rotation,
                                     tok.slice_seq, 0, params.blocks[0], cfg)
         np.testing.assert_allclose(out.features.data, ref, atol=1e-9)
 
@@ -260,8 +266,32 @@ def _grid_from_tokens(tok, cfg, seq):
     return SparseCylGrid(
         spec=spec, keys=np.zeros((n, 3), dtype=np.int64),
         keys_packed=np.arange(n, dtype=np.int64), features=tok.features,
-        centers=tok.centers, t_first=tok.t, rotation=tok.rotation, slice_seq=seq,
+        centers=tok.centers, rotation=tok.rotation, slice_seq=seq,
         sensor_position=np.zeros(3))
+
+
+def test_block_params_are_the_per_head_draws_side_by_side():
+    """Head h's columns and rows hold what separate per-head layers and
+    tables would draw, in the same order: every head's key/value layer, then
+    every head's query layer, then each head's X, Y, Z and T tables."""
+    cfg = micro_cfg(heads=3, dim=6, key_dim=2, with_queries=True)
+    block = BlockParams(cfg, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    kv = [Linear(cfg.dim, cfg.key_dim + cfg.head_dim, rng=rng) for _ in range(cfg.heads)]
+    query = [Linear(cfg.dim, cfg.key_dim, rng=rng) for _ in range(cfg.heads)]
+    for h in range(cfg.heads):
+        for fused, layer in ((block.kv, kv[h]), (block.query, query[h])):
+            W, b = head_columns(fused, h, cfg.heads)
+            np.testing.assert_array_equal(W, layer.weight.data)
+            np.testing.assert_array_equal(b, layer.bias.data)
+    for h in range(cfg.heads):
+        tables = head_tables(block, h, cfg)
+        for d in "XYZT":
+            rows = cfg.bins_temporal if d == "T" else cfg.bins_spatial
+            np.testing.assert_array_equal(
+                tables[d], rng.standard_normal((rows, cfg.key_dim)) * BlockParams.POS_INIT)
+    assert [name for name, _ in block.parameters()] == [
+        "kv.weight", "kv.bias", "query.weight", "query.bias", "pos_table"]
 
 
 def test_transformer_zero_blocks_is_identity():
@@ -303,10 +333,9 @@ def test_streaming_matches_batch():
 
     feats = np.concatenate([t.features.data for t in token_sets])
     centers = np.concatenate([t.centers for t in token_sets])
-    tt = np.concatenate([t.t for t in token_sets])
     rot = np.concatenate([t.rotation for t in token_sets])
     seq = np.concatenate([t.slice_seq for t in token_sets])
-    ref = dense_transformer_reference(feats, centers, tt, rot, seq, params, cfg)
+    ref = dense_transformer_reference(feats, centers, rot, seq, params, cfg)
     np.testing.assert_allclose(np.concatenate(outs), ref, atol=1e-9)
 
 
@@ -343,10 +372,9 @@ def test_streaming_fetches_only_attendable_rotations():
             .features.data for s, tok in enumerate(token_sets)]
     feats = np.concatenate([t.features.data for t in token_sets])
     centers = np.concatenate([t.centers for t in token_sets])
-    tt = np.concatenate([t.t for t in token_sets])
     rot = np.concatenate([t.rotation for t in token_sets])
     seq = np.concatenate([t.slice_seq for t in token_sets])
-    ref = dense_transformer_reference(feats, centers, tt, rot, seq, params, cfg)
+    ref = dense_transformer_reference(feats, centers, rot, seq, params, cfg)
     np.testing.assert_allclose(np.concatenate(outs), ref, atol=1e-9)
 
     skipped = 0
@@ -383,7 +411,7 @@ def test_causality_future_perturbation():
 
     perturbed = token_sets[:2] + [VoxelTokens(
         Tensor(token_sets[2].features.data + 1.0), token_sets[2].centers,
-        token_sets[2].t, token_sets[2].rotation, token_sets[2].slice_seq)]
+        token_sets[2].rotation, token_sets[2].slice_seq)]
     outs_b, _ = _run_streaming(perturbed, params, cfg)
     np.testing.assert_array_equal(outs_a[0], outs_b[0])
     np.testing.assert_array_equal(outs_a[1], outs_b[1])
@@ -412,7 +440,7 @@ def test_translation_invariance():
     out1, _ = block_forward(tok, None, 0, params.blocks[0], cfg)
 
     shifted = VoxelTokens(tok.features, tok.centers + np.array([128.0, -64.0, 32.0]),
-                          tok.t, tok.rotation, tok.slice_seq)
+                          tok.rotation, tok.slice_seq)
     out2, _ = block_forward(shifted, None, 0, params.blocks[0], cfg)
     np.testing.assert_allclose(out1.features.data, out2.features.data, atol=1e-9)
 
@@ -601,9 +629,7 @@ def test_head_stats_zero_tables():
     rng = np.random.default_rng(13)
     cfg = micro_cfg(blocks=1)
     params = TransformerParams(cfg, rng)
-    for tables in params.blocks[0].pos:
-        for t in tables.values():
-            t.data[:] = 0.0
+    params.blocks[0].pos_table.data[:] = 0.0
     toks = _slice_fixture(rng, cfg, 2, 8)
     stats = head_compat_stats(toks, params, cfg)
     assert stats
@@ -617,12 +643,11 @@ def test_head_stats_single_pair():
     tok = random_tokens(rng, 1, cfg)
     stats = head_compat_stats([tok], params, cfg)
     # single self-pair: every dimension has exactly its zero bin
-    kv = tok.features.data @ params.blocks[0].kv[0].weight.data + params.blocks[0].kv[0].bias.data
+    W, b = head_columns(params.blocks[0].kv, 0, cfg.heads)
+    kv = tok.features.data @ W + b
     key = kv[:, :2][0]
-    pos = (params.blocks[0].pos[0]["X"].data[cfg.beta]
-           + params.blocks[0].pos[0]["Y"].data[cfg.beta]
-           + params.blocks[0].pos[0]["Z"].data[cfg.beta]
-           + params.blocks[0].pos[0]["T"].data[0])
+    tables = head_tables(params.blocks[0], 0, cfg)
+    pos = tables["X"][cfg.beta] + tables["Y"][cfg.beta] + tables["Z"][cfg.beta] + tables["T"][0]
     expected = float(key @ pos)
     assert stats[(0, 0, "X", 0)] == pytest.approx(expected, abs=1e-12)
     assert stats[(0, 0, "T", 0)] == pytest.approx(expected, abs=1e-12)
@@ -632,7 +657,6 @@ def dense_head_compat_stats(token_sets, params, cfg):
     """The earlier statistics: block inputs from the dense -inf reference."""
     features = np.concatenate([ts.features.data for ts in token_sets])
     centers = np.concatenate([ts.centers for ts in token_sets])
-    t = np.concatenate([ts.t for ts in token_sets])
     rotation = np.concatenate([ts.rotation for ts in token_sets])
     slice_seq = np.concatenate([ts.slice_seq for ts in token_sets])
     vi, ui = dense_mask_pairs(centers, rotation, centers, rotation, cfg)
@@ -648,16 +672,16 @@ def dense_head_compat_stats(token_sets, params, cfg):
     block_input = features
     for w, block in enumerate(params.blocks):
         for h in range(cfg.heads):
-            keys = (block_input @ block.kv[h].weight.data + block.kv[h].bias.data)[:, :cfg.key_dim]
-            pos = (block.pos[h]["X"].data[bins["X"] + cfg.beta]
-                   + block.pos[h]["Y"].data[bins["Y"] + cfg.beta]
-                   + block.pos[h]["Z"].data[bins["Z"] + cfg.beta]
-                   + block.pos[h]["T"].data[bins["T"]])
+            W, b = head_columns(block.kv, h, cfg.heads)
+            keys = (block_input @ W + b)[:, :cfg.key_dim]
+            tables = head_tables(block, h, cfg)
+            pos = (tables["X"][bins["X"] + cfg.beta] + tables["Y"][bins["Y"] + cfg.beta]
+                   + tables["Z"][bins["Z"] + cfg.beta] + tables["T"][bins["T"]])
             compat = np.einsum("ek,ek->e", keys[vi], pos)
             for d in ("X", "Y", "Z", "T"):
                 for b in np.unique(bins[d]):
                     out[(w, h, d, int(b))] = float(compat[bins[d] == b].mean())
-        block_input = dense_block_reference(block_input, centers, t, rotation, slice_seq, w,
+        block_input = dense_block_reference(block_input, centers, rotation, slice_seq, w,
                                             block, cfg)
     return out
 
@@ -694,7 +718,9 @@ def test_head_stats_brute_force():
     acc = defaultdict(list)
     for h in range(cfg.heads):
         blk = params.blocks[0]
-        keys = (feats @ blk.kv[h].weight.data + blk.kv[h].bias.data)[:, :cfg.key_dim]
+        W, b = head_columns(blk.kv, h, cfg.heads)
+        keys = (feats @ W + b)[:, :cfg.key_dim]
+        tables = head_tables(blk, h, cfg)
         for v in range(n):
             for u in range(n):
                 if seq[u] > seq[v]:
@@ -706,8 +732,8 @@ def test_head_stats_brute_force():
                 by = int(spatial_bin(centers[u, 1] - centers[v, 1], cfg.rho_y))
                 bz = int(spatial_bin(centers[u, 2] - centers[v, 2], cfg.rho_z))
                 bt = int(temporal_bin(np.array([rot[v] - rot[u]]), cfg.offsets)[0])
-                pos = (blk.pos[h]["X"].data[bx + cfg.beta] + blk.pos[h]["Y"].data[by + cfg.beta]
-                       + blk.pos[h]["Z"].data[bz + cfg.beta] + blk.pos[h]["T"].data[bt])
+                pos = (tables["X"][bx + cfg.beta] + tables["Y"][by + cfg.beta]
+                       + tables["Z"][bz + cfg.beta] + tables["T"][bt])
                 c = float(keys[v] @ pos)
                 for dim, b in (("X", bx), ("Y", by), ("Z", bz), ("T", bt)):
                     acc[(0, h, dim, b)].append(c)

@@ -122,9 +122,9 @@ def test_pos_enc_stats(tmp_path, scene_file, ckpt_file):
 
 def test_config_file_defaults_and_override(tmp_path, scene_file, ckpt_file):
     cfg = tmp_path / "helix.cfg"
-    cfg.write_text("slice_deg = 360\nclock = sim\n# comment\n")
+    cfg.write_text("slice_deg = 360\n# comment\n")
     parsed = load_config_file(cfg)
-    assert parsed == {"slice_deg": "360", "clock": "sim"}
+    assert parsed == {"slice_deg": "360"}
     out = tmp_path / "viacfg"
     assert main(["--config", str(cfg), "eval-online", "--dataset", str(scene_file),
                  "--checkpoint", str(ckpt_file), "--out", str(out)]) == 0
@@ -136,3 +136,19 @@ def test_config_file_defaults_and_override(tmp_path, scene_file, ckpt_file):
                  "--out", str(out2)]) == 0
     row2 = (tmp_path / "via_override.csv").read_text().splitlines()[1]
     assert row2.startswith("20,")  # CLI flag overrode the file
+
+
+@pytest.mark.parametrize("command,line", [
+    (["eval-online"], "clock = sim"),     # removed with the one replay clock
+    (["segment"], "seed = 3"),            # a flag segment has but never reads
+    (["train-toy"], "window = 5"),        # its flag's default would hide the file value
+])
+def test_config_file_key_the_command_does_not_read_is_refused(tmp_path, capsys, command,
+                                                              line):
+    cfg = tmp_path / "helix.cfg"
+    cfg.write_text(f"slice_deg = 360\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + command)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert repr(line.split(" = ")[0]) in err and str(cfg) in err

@@ -144,7 +144,6 @@ def test_voxelize_same_cell_max():
     grid = voxelize(pts, Tensor(np.array([[1.0, 5.0], [3.0, 2.0]])), spec)
     assert grid.n_cells == 1
     np.testing.assert_array_equal(grid.features.data, [[3.0, 5.0]])
-    assert grid.t_first[0] == 0.0
 
 
 def test_voxelize_order_invariant(stream):

@@ -141,6 +141,15 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(p)
 
 
+def test_checkpoint_rejects_an_older_version(tmp_path, model):
+    path = tmp_path / "v1.ckpt"
+    save_checkpoint(path, model)
+    (magic, _), header, data = read_checkpoint_parts(path)
+    write_checkpoint_parts(path, (magic, 1), header, data)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
+
+
 def read_checkpoint_parts(path):
     raw = path.read_bytes()
     magic, version, blob_len = struct.unpack("<8sII", raw[:16])
@@ -177,10 +186,10 @@ def test_checkpoint_rejects_a_tensor_missing_from_the_manifest(tmp_path, model):
 
 def test_checkpoint_rejects_an_extra_tensor(tmp_path, model):
     def add_extra(tensors, data):
-        tensors.append({"name": "attn.b0.h9.kv.bias", "shape": [2], "offset": int(data.size)})
+        tensors.append({"name": "attn.b9.kv.bias", "shape": [2], "offset": int(data.size)})
         return np.r_[data, 1.0, 2.0]
 
-    with pytest.raises(ValueError, match="'attn.b0.h9.kv.bias' is not a model parameter"):
+    with pytest.raises(ValueError, match="'attn.b9.kv.bias' is not a model parameter"):
         load_checkpoint(corrupt(tmp_path, model, add_extra))
 
 
@@ -227,12 +236,16 @@ def test_checkpoint_rejects_data_past_the_last_tensor(tmp_path, model):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_checkpoint_rejects_non_finite_values(tmp_path, model, bad):
+    cfg = model.cfg.attn
+    # head 1's Y table starts after head 0's X|Y|Z|T rows and head 1's X rows
+    first_y = (4 * cfg.bins_spatial + cfg.bins_temporal) * cfg.key_dim
+
     def poison(tensors, data):
-        entry = next(e for e in tensors if e["name"] == "attn.b0.h1.pos_y")
-        data[entry["offset"] + 3] = bad
+        entry = next(e for e in tensors if e["name"] == "attn.b0.pos_table")
+        data[entry["offset"] + first_y + 3] = bad
         return data
 
-    with pytest.raises(ValueError, match="'attn.b0.h1.pos_y' holds a non-finite value"):
+    with pytest.raises(ValueError, match="'attn.b0.pos_table' holds a non-finite value"):
         load_checkpoint(corrupt(tmp_path, model, poison))
 
 
@@ -325,4 +338,4 @@ def test_forward_slice_after_segment_points_has_gradients(slices):
     scores.abs().sum().backward()
     grads = {name: t.grad for name, t in m.parameters()}
     assert all(g is not None for g in grads.values()), [n for n, g in grads.items() if g is None]
-    assert np.any(grads["e_point.l0.weight"] != 0) and np.any(grads["attn.b0.h0.kv.weight"] != 0)
+    assert np.any(grads["e_point.l0.weight"] != 0) and np.any(grads["attn.b0.kv.weight"] != 0)

@@ -47,7 +47,7 @@ def build_grid(keys, features, spec):
         spec=spec, keys=keys, keys_packed=packed,
         features=Tensor(feats, requires_grad=True),
         centers=cell_centers(spec, keys, np.zeros(3)),
-        t_first=np.zeros(n), rotation=np.zeros(n, dtype=np.int64),
+        rotation=np.zeros(n, dtype=np.int64),
         sensor_position=np.zeros(3),
     )
 

@@ -6,7 +6,6 @@ from helix.autodiff import Tensor
 from helix.ingest import synth_scene
 from helix.training import (
     Adam,
-    PlateauSchedule,
     augment_window,
     evaluate_slices,
     train_step,
@@ -39,7 +38,10 @@ def test_decay_exclusion_closed_form():
     for _, t in params.items():
         t.grad = np.zeros_like(t.data)
     conv_name = next(n for n in params if "unet.enc1a" in n and n.endswith("weights"))
-    pos_name = next(n for n in params if ".pos_x" in n)
+    pos_name = next(n for n in params if ".pos_table" in n)
+    # the tag excludes exactly the positional tables, one per block
+    assert ([n for n in params if not opt.decays(n)]
+            == [f"attn.b{w}.pos_table" for w in range(model.cfg.attn.blocks)])
     conv_before = params[conv_name].data.copy()
     pos_before = params[pos_name].data.copy()
     opt.step()
@@ -63,15 +65,9 @@ def test_loss_decreases_over_50_steps(windows):
     assert np.mean(losses[-5:]) < np.mean(losses[:5])
 
 
-def test_plateau_schedule_drops_once():
-    model = toy_model(seed=8)
-    opt = Adam(model.parameters(), lr=1e-3)
-    sched = PlateauSchedule(opt, patience=3, floor_lr=1e-4)
-    sched.report(0.5)
-    assert opt.lr == 1e-3
-    for miou in (0.5, 0.5, 0.49):
-        sched.report(miou)
-    assert opt.lr == 1e-4
+def test_train_toy_without_windows_raises():
+    with pytest.raises(ValueError, match="no training windows"):
+        train_toy(toy_model(seed=8), [], steps=1)
 
 
 def test_augment_window_shares_draw(windows):
