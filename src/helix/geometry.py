@@ -2,10 +2,15 @@
 
 Slicing groups points by the *sensor head* angle, so slice edges are jagged
 in point-azimuth space (emitters fan out over 17.3 degrees) but exact in
-acquisition time.  Voxelization bins each point's sensor-relative cylindrical
-coordinates; the three default grid levels are exact (3,3,2) / (3,2,2)
-refinements of one another so that strided convolutions tile them perfectly,
-with theta rings of 270 / 90 / 45 bins covering the full circle.
+acquisition time.  One generator, :func:`iter_slices`, does all grouping: it
+takes point clouds in release order (one whole stream for
+:func:`slice_stream`, packet by packet for the online harness) and refuses a
+head angle that runs backwards.
+
+Voxelization bins each point's sensor-relative cylindrical coordinates; the
+three default grid levels are exact (3,3,2) / (3,2,2) refinements of one
+another so that strided convolutions tile them perfectly, with theta rings of
+270 / 90 / 45 bins covering the full circle.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, segment_maxpool
-from .ingest import TWO_PI, PointCloud, StreamOrderError
+from .ingest import TWO_PI, PointCloud, StreamOrderError, concat_points
 
 _Z_BIAS = 1 << 15  # packed keys: z bins are signed, r/theta are not
 
@@ -75,7 +80,6 @@ class Slice:
     slice_index: int
     seq: int                      # global slice counter along the stream
     theta_range: tuple
-    t_first: float
     t_last: float
     sensor_position: np.ndarray   # pose at the slice's first point
 
@@ -84,7 +88,7 @@ class Slice:
 
 
 def assemble_slice(points, k, dtheta) -> Slice:
-    """Build slice ``k``'s record from its points (shared with the harness)."""
+    """Build slice ``k``'s record from its points."""
     m = TWO_PI / dtheta
     m_int = int(round(m))
     if abs(m - m_int) < 1e-9:
@@ -97,10 +101,45 @@ def assemble_slice(points, k, dtheta) -> Slice:
         slice_index=int(within),
         seq=int(k),
         theta_range=(k * dtheta, (k + 1) * dtheta),
-        t_first=float(points.t_release[0]),
         t_last=float(points.t_release[-1]),
         sensor_position=points.first_sensor_xyz(),
     )
+
+
+def iter_slices(chunks, dtheta):
+    """Group point clouds given in release order into slices of ``dtheta``.
+
+    Slice ``k`` holds the points with ``floor(theta_sensor / dtheta) == k``.
+    A slice is yielded once a point of a later slice arrives (or the chunks
+    run out), so no chunk past the one holding that point has been drawn.  A
+    slice inside one chunk is a view of it; only a slice spanning chunks is
+    copied, once.  Raises :class:`StreamOrderError` where ``theta_sensor``
+    decreases, within a chunk or from one chunk to the next.
+    """
+    if not (0.0 < dtheta <= TWO_PI + 1e-12):
+        raise ValueError("dtheta must lie in ]0, 2*pi]")
+    pending, k_open, last = [], None, -np.inf
+    for chunk in chunks:
+        theta = chunk.theta_sensor
+        if np.any(np.diff(theta, prepend=last) < 0):
+            raise StreamOrderError("theta_sensor must be sorted (stream order)")
+        if len(chunk) == 0:
+            continue
+        last = theta[-1]
+        k = np.floor(theta / dtheta).astype(np.int64)
+        bounds = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1), len(chunk)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if pending and k[lo] != k_open:
+                yield assemble_slice(_joined(pending), k_open, dtheta)
+                pending = []
+            k_open = int(k[lo])
+            pending.append(chunk.take(slice(lo, hi)))
+    if pending:
+        yield assemble_slice(_joined(pending), k_open, dtheta)
+
+
+def _joined(parts):
+    return parts[0] if len(parts) == 1 else concat_points(parts)
 
 
 def slice_stream(points: PointCloud, dtheta: float):
@@ -111,19 +150,7 @@ def slice_stream(points: PointCloud, dtheta: float):
     exactly once, in chronological order.  Each slice's fields are views of
     ``points``' arrays, not copies.
     """
-    if not (0.0 < dtheta <= TWO_PI + 1e-12):
-        raise ValueError("dtheta must lie in ]0, 2*pi]")
-    if np.any(np.diff(points.theta_sensor) < 0):
-        raise StreamOrderError("theta_sensor must be sorted (stream order)")
-    if len(points) == 0:
-        return []
-    k = np.floor(points.theta_sensor / dtheta).astype(np.int64)
-    ids, starts = np.unique(k, return_index=True)
-    bounds = np.append(starts, len(points))
-    return [
-        assemble_slice(points.take(slice(lo, hi)), int(kk), dtheta)
-        for kk, lo, hi in zip(ids, bounds[:-1], bounds[1:])
-    ]
+    return list(iter_slices([points], dtheta))
 
 
 # ---------------------------------------------------------------------------

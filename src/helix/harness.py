@@ -1,8 +1,10 @@
 """Online evaluation: sequential slice processing with latency accounting.
 
-Slices are consumed strictly in release order through a forward-only packet
-cursor, so the loop provably never touches data released after the slice it
-is working on.  One replay clock serves every run:
+The packets go through a forward-only cursor into the one slicer,
+:func:`helix.geometry.iter_slices`, which draws a packet only when it needs
+it: the loop provably never touches data released after the slice it is
+working on, and a stream whose head angle runs backwards raises
+:class:`~helix.ingest.StreamOrderError`.  One replay clock serves every run:
 
 * A slice is released when its last point is (``Slice.t_last``).  It starts
   at ``max(release, previous slice's finish)``: compute slower than the
@@ -29,17 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Slice, assemble_slice
-from .ingest import TWO_PI, SequentialPacketStream, concat_points
+from .geometry import iter_slices
+from .ingest import ROTATION_PERIOD, TWO_PI, SequentialPacketStream
 from .metrics import ConfusionMatrix
-
-DEFAULT_ROTATION_PERIOD = 0.104
 
 
 @dataclass
 class EvalConfig:
     dtheta: float = TWO_PI / 5
-    rotation_period: float = DEFAULT_ROTATION_PERIOD
+    rotation_period: float = ROTATION_PERIOD
     skip_rotations: int = 0         # warm-up rotations excluded from metrics
 
     def __post_init__(self):
@@ -112,31 +112,9 @@ def total_latency(report: LatencyReport) -> float:
 
 
 def iter_slices_from_packets(stream: SequentialPacketStream, dtheta):
-    """Assemble slices incrementally; one packet may split across slices.
-
-    A slice is emitted as soon as the packet holding its final point arrives;
-    nothing past that packet has been read at that moment.
-    """
-    pending = []
-    current_k = None
-    index = 0
-    while index < len(stream):
-        packet = stream.read(index)
-        index += 1
-        pts = packet.points
-        ks = np.floor(pts.theta_sensor / dtheta).astype(np.int64)
-        for k in np.unique(ks):
-            part = pts.take(np.nonzero(ks == k)[0])
-            if current_k is None:
-                current_k = int(k)
-            if int(k) != current_k:
-                if pending:
-                    yield assemble_slice(concat_points(pending), current_k, dtheta)
-                pending = []
-                current_k = int(k)
-            pending.append(part)
-    if pending:
-        yield assemble_slice(concat_points(pending), current_k, dtheta)
+    """:func:`~helix.geometry.iter_slices` over the stream's packets, each read
+    through the forward-only cursor only when the slicer asks for it."""
+    return iter_slices((stream.read(i).points for i in range(len(stream))), dtheta)
 
 
 def eval_online(model, packets, cfg: EvalConfig, timer=time.perf_counter):

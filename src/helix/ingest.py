@@ -293,9 +293,6 @@ class SequentialPacketStream:
         self.max_read = max(self.max_read, index)
         return self._packets[index]
 
-    def exhausted(self):
-        return self._cursor >= len(self._packets)
-
 
 # ---------------------------------------------------------------------------
 # points / labels files

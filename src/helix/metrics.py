@@ -27,10 +27,6 @@ class ConfusionMatrix:
         np.add.at(self.counts, (t[keep] - 1, p[keep] - 1), 1)
         return self
 
-    def merge(self, other):
-        self.counts += other.counts
-        return self
-
     def iou(self):
         """Per-class IoU (nan where the class is absent from gt and pred)."""
         tp = np.diag(self.counts).astype(np.float64)

@@ -199,19 +199,20 @@ def transposed_strided_conv(coarse: SparseCylGrid, target: SparseCylGrid,
 
     Every target cell reads its unique parent coarse cell through the tap
     matching its in-window position: the transposed table of the strided
-    convolution on ``target``, its coarse rows renamed to ``coarse``'s.  Maps
-    from the same slice guarantee the parent exists; a miss is an internal
-    error.
+    convolution on ``target``, cached beside it.  ``coarse`` must hold
+    exactly the coarse cells that stride makes of ``target`` (maps from the
+    same slice do); anything else is an internal error.
     """
     if kernel.in_ch != coarse.channels:
         raise ValueError(f"kernel expects {kernel.in_ch} channels, grid has {coarse.channels}")
     uniq, _, down = _strided_layout(target, stride)
-    parent = coarse.lookup(uniq)
-    if np.any(parent < 0):
+    if not np.array_equal(coarse.keys_packed, uniq):
         raise RuntimeError("occupancy mismatch between skip map and upsampled map")
-    table = np.take(np.append(parent, coarse.n_cells), down.transposed)
-    return target.with_features(rulebook_conv(coarse.features, kernel.weights, kernel.bias,
-                                              Rulebook(table, coarse.n_cells)))
+    key = (b"transposed", tuple(stride))
+    up = target.nbr_cache.get(key)
+    if up is None:
+        up = target.nbr_cache[key] = Rulebook(down.transposed, uniq.shape[0])
+    return target.with_features(rulebook_conv(coarse.features, kernel.weights, kernel.bias, up))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_fifth_turn_gives_five_slices(stream):
         # release-time span stays within the nominal window plus one packet
         window = period / 5
         packet_time = period / CFG.packets_per_rotation
-        assert s.t_last - s.t_first <= window + packet_time + 1e-9
+        assert s.t_last - s.points.t_release[0] <= window + packet_time + 1e-9
         assert s.rotation_index == 0
     assert [s.slice_index for s in slices] == [0, 1, 2, 3, 4]
 

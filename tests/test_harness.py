@@ -15,6 +15,7 @@ from helix.harness import (
     total_latency,
 )
 from helix.ingest import (
+    POINTS_PER_PACKET,
     SequentialPacketStream,
     StreamOrderError,
     SynthConfig,
@@ -55,14 +56,49 @@ class FakeModel:
 
 
 def test_incremental_slicer_matches_offline(packets):
-    stream = SequentialPacketStream(packets)
-    inc = list(iter_slices_from_packets(stream, 2 * np.pi / 5))
-    off = slice_stream(packets_to_points(packets), 2 * np.pi / 5)
-    assert len(inc) == len(off)
-    for a, b in zip(inc, off):
-        assert a.seq == b.seq
-        assert len(a.points) == len(b.points)
-        np.testing.assert_array_equal(a.points.t_release, b.points.t_release)
+    """Packet by packet or from the whole array, the same slices bit for bit;
+    50 degrees does not divide the turn, and 0.5 degrees is less than a
+    packet's arc, so some slices lie inside one packet and stay views of it."""
+    for deg in (72.0, 50.0, 0.5):
+        dtheta = np.deg2rad(deg)
+        inc = list(iter_slices_from_packets(SequentialPacketStream(packets), dtheta))
+        off = slice_stream(packets_to_points(packets), dtheta)
+        assert len(inc) == len(off)
+        lo, inside = 0, 0
+        for a, b in zip(inc, off):
+            for name in (f.name for f in dataclasses.fields(a.points)):
+                x, y = getattr(a.points, name), getattr(b.points, name)
+                assert x.dtype == y.dtype
+                np.testing.assert_array_equal(x, y, err_msg=f"{deg} {name}")
+            np.testing.assert_array_equal(a.sensor_position, b.sensor_position)
+            assert (a.seq, a.rotation_index, a.slice_index) == (b.seq, b.rotation_index,
+                                                                b.slice_index)
+            assert a.theta_range == b.theta_range and a.t_last == b.t_last
+            hi = lo + len(b)
+            if lo // POINTS_PER_PACKET == (hi - 1) // POINTS_PER_PACKET:
+                inside += 1
+                packet = packets[lo // POINTS_PER_PACKET]
+                assert np.shares_memory(a.points.xyz, packet.points.xyz)
+            lo = hi
+        assert lo == len(packets) * POINTS_PER_PACKET
+        assert (inside > 0) == (deg < 360.0 / SMALL.packets_per_rotation)
+
+
+def test_out_of_order_streams_fail_loudly(packets):
+    """Swapped packets, or a head angle dipping inside one packet, raise
+    instead of yielding slices out of sequence."""
+    swapped = list(packets)
+    swapped[5], swapped[30] = swapped[30], swapped[5]
+    dipped = list(packets)
+    theta = dipped[7].points.theta_sensor.copy()
+    theta[200] = theta[199] - 1e-3
+    dipped[7] = dataclasses.replace(
+        dipped[7], points=dataclasses.replace(dipped[7].points, theta_sensor=theta))
+    for bad in (swapped, dipped):
+        with pytest.raises(StreamOrderError):
+            list(iter_slices_from_packets(SequentialPacketStream(bad), 2 * np.pi / 5))
+        with pytest.raises(StreamOrderError):
+            run_fake(bad, 2 * np.pi / 5, delay=0.0)
 
 
 def test_slicer_never_reads_ahead(packets):

@@ -428,6 +428,28 @@ def test_strided_tables_match_per_tap_lists(case):
                                   rules_table(up_rules, grid.n_cells, coarse.n_cells))
 
 
+def test_transposed_conv_reuses_its_table_and_refuses_other_occupancy():
+    """The upsampling table is built once per skip map, and a coarse map with
+    a cell missing or a cell too many is an internal error."""
+    rng = np.random.default_rng(18)
+    grid = random_grid(rng, SPEC, 40, 3)
+    up = make_kernel((3, 3, 2), 4, 3, rng)
+    coarse = strided_conv(grid, make_kernel((3, 3, 2), 3, 4, rng), (3, 3, 2))
+    with recorded_rulebooks() as seen:
+        first = transposed_strided_conv(coarse, grid, up, (3, 3, 2)).features.data
+        again = transposed_strided_conv(coarse, grid, up, (3, 3, 2)).features.data
+    assert seen[0] is seen[1]
+    np.testing.assert_array_equal(first, again)
+
+    feats = coarse.features.data
+    stray = [[coarse.keys[:, 0].max() + 1, 0, 0]]
+    for bad in (build_grid(coarse.keys[1:], feats[1:], coarse.spec),
+                build_grid(np.concatenate([coarse.keys, stray]),
+                           np.concatenate([feats, feats[:1]]), coarse.spec)):
+        with pytest.raises(RuntimeError, match="occupancy mismatch"):
+            transposed_strided_conv(bad, grid, up, (3, 3, 2))
+
+
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 @pytest.mark.parametrize("with_bias", [True, False])
 def test_conv_kinds_agree_dense_and_per_tap(dtype, tol, with_bias, monkeypatch):
